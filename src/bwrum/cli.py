@@ -36,8 +36,6 @@ from .errors import (
 from .fixtures import FIXTURE_NAMES, emit_fixture
 from .lp import lp_feasibility_oracle
 from .measure import (
-    DEFAULT_READING,
-    READINGS,
     build_distribution,
     system_from_distribution,
     verify_reconstruction,
@@ -99,8 +97,7 @@ def _build_parser() -> _Parser:
 
     p = add("construct", "build a witness distribution for a representable system")
     p.add_argument("file")
-    p.add_argument("--method", choices=("recursion", "lp", "both"), default="recursion")
-    p.add_argument("--reading", choices=READINGS, default=DEFAULT_READING)
+    p.add_argument("--method", choices=("declarative", "lp", "both"), default="declarative")
 
     p = add("forward", "compute the system induced by a ranking distribution")
     p.add_argument("file")
@@ -276,27 +273,19 @@ def _cmd_construct(args) -> tuple[int, dict]:
     body: dict = {
         "input": _input_info(args.file),
         "n": system.n,
-        "reading": args.reading,
         "method": args.method,
     }
     verdicts: dict[str, str] = {}
     messages: list[str] = []
-    recursion_dist = None
+    declarative_dist = None
     lp_result = None
 
-    if args.method in ("recursion", "both"):
+    if args.method in ("declarative", "both"):
         try:
-            recursion_dist = build_distribution(system, args.reading)
-            verdicts["recursion"] = REPRESENTABLE
-        except NotRepresentable as exc:
-            verdicts["recursion"] = NOT_REPRESENTABLE
-            messages.append(str(exc))
-        except ConstructionInconsistent as exc:
-            if args.reading != DEFAULT_READING:
-                # A failed alternative reading says nothing about the
-                # system itself, so treat it as an operational error.
-                raise
-            verdicts["recursion"] = NOT_REPRESENTABLE
+            declarative_dist = build_distribution(system)
+            verdicts["declarative"] = REPRESENTABLE
+        except (NotRepresentable, ConstructionInconsistent) as exc:
+            verdicts["declarative"] = NOT_REPRESENTABLE
             messages.append(str(exc))
 
     if args.method in ("lp", "both"):
@@ -316,7 +305,7 @@ def _cmd_construct(args) -> tuple[int, dict]:
 
     verdict = next(iter(verdicts.values()))
     body["verdict"] = verdict
-    distribution = recursion_dist
+    distribution = declarative_dist
     if distribution is None and lp_result is not None and lp_result.feasible:
         distribution = lp_result.distribution
     if distribution is not None:

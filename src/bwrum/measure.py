@@ -8,27 +8,20 @@ the induced cells from any distribution (the forward oracle used as
 ground truth everywhere), and re-checks constructed witnesses cell by
 cell.
 
-Three construction readings are available.  The default,
-"declarative", treats the defining identities of the construction as
-one simultaneous linear system over the ranking masses: one equation
-per (best, worst, outside-set) sandwich event, whose measure must equal
-the corresponding polynomial value, plus total mass one.  The system's
-coefficient matrix depends only on n, so its exact Gauss-Jordan
-reduction is computed once per n with row operations tracked; each
-concrete system then costs a right-hand-side transform.  When the
-particular solution has negative entries, a small exact phase-1 pivot
-over the kernel coordinates completes it to a nonnegative one.  Before
-any solving, the output of the "proportional_all" recursion is tried as
-a candidate and kept only if it reproduces every cell exactly, which
-preserves the recursion's symmetry on symmetric systems.
-
-The readings "proportional_shape" and "proportional_all" allocate mass
-level by level, splitting each parent pattern's measure proportionally
-to polynomial coefficients; the denominator sums pattern values over
-rearrangements of the context elements (into the parent's slot
-lengths, or into all splits, respectively).  Both fail to reproduce
-general systems; :func:`adjudicate_readings` documents this and is the
-authority for which reading is enabled by default.
+A witness is built by treating the defining identities of the
+construction as one simultaneous linear system over the ranking masses:
+one equation per (best, worst, outside-set) sandwich event, whose
+measure must equal the corresponding polynomial value, plus total mass
+one.  The system's coefficient matrix depends only on n, so its exact
+Gauss-Jordan reduction is computed once per n with row operations
+tracked; each concrete system then costs a right-hand-side transform.
+When the particular solution has negative entries, a small exact
+phase-1 pivot over the kernel coordinates completes it to a nonnegative
+one.  Finally the masses are averaged over the system's permutation
+stabiliser, the relabellings of 0..n-1 that leave every cell unchanged.
+Each relabelled witness reproduces the system as well, so the average
+is still a witness, and it inherits every symmetry of the input: the
+uniform system gets the uniform distribution.
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     ONE,
@@ -48,6 +41,7 @@ from .core import (
     as_mask,
     choice_subsets,
     full_mask,
+    iter_submasks,
     members,
     new_system,
     ordered_pairs,
@@ -60,15 +54,10 @@ from .errors import (
     MalformedPattern,
     NormalizationViolation,
     NotRepresentable,
-    OutOfRange,
     OutOfRangeProbability,
 )
 from .polynomials import PolynomialTable, all_polynomials
 from .rankings import PatternDescriptor, Ranking, all_rankings, matches
-
-READINGS = ("declarative", "proportional_shape", "proportional_all")
-DEFAULT_READING = "declarative"
-
 
 @dataclass(frozen=True)
 class RankingDistribution:
@@ -223,20 +212,10 @@ def _equation_tags(n: int) -> list[tuple]:
             if x == y:
                 continue
             rest = full_mask(n) & ~(1 << x) & ~(1 << y)
-            for outside in sorted(_submasks_list(rest), key=lambda s: (popcount(s), s)):
+            for outside in sorted(iter_submasks(rest), key=lambda s: (popcount(s), s)):
                 tags.append(("cell", x, y, outside))
     tags.append(("total",))
     return tags
-
-
-def _submasks_list(mask: int) -> list[int]:
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            return out
-        sub = (sub - 1) & mask
 
 
 class _ReducedSystem:
@@ -519,132 +498,44 @@ def _declarative_masses(
 
 
 # ---------------------------------------------------------------------------
-# Proportional recursion readings
+# Symmetrisation over the system's permutation stabiliser
 
 
-def _recursion_mu(
-    system: BWSystem, table: PolynomialTable, reading: str
-) -> tuple[dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction], tuple[str, ...]]:
-    """Level-by-level pattern measures under a proportional reading.
+def _stabiliser(system: BWSystem) -> list[tuple[int, ...]]:
+    """Permutations pi of 0..n-1 with P(pi B, pi a, pi b) = P(B, a, b) on every cell.
 
-    Returns set-level measures for every two-sided full-ground pattern.
-    One-sided patterns are looked up as flow sums (partition by the
-    element adjacent to the missing side), which only ever reaches
-    levels already computed.  A zero denominator contributes zero and
-    is recorded as a diagnostic when the numerator is nonzero.
+    Cells are compared smallest subsets first, so a permutation that
+    moves some pair probability is rejected after a few lookups.
     """
-    n = system.n
-    mu: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-    diagnostics: list[str] = []
-    for x in range(n):
-        for y in range(n):
-            if x != y:
-                mu[((x,), (y,))] = table.values[(x, y, 0)]
-
-    def lookup(prefix: tuple[int, ...], suffix: tuple[int, ...]) -> Fraction:
-        if prefix and suffix:
-            return mu[(prefix, suffix)]
-        listed = set(prefix) | set(suffix)
-        others = [e for e in range(n) if e not in listed]
-        if not prefix:
-            return sum((mu[((e,), suffix)] for e in others), ZERO)
-        return sum((mu[(prefix, (e,))] for e in others), ZERO)
-
-    denom_cache: dict[tuple[tuple[int, ...], int], Fraction] = {}
-
-    def denominator(context: tuple[int, ...], top_len: int) -> Fraction:
-        shape_key = top_len if reading == "proportional_shape" else -1
-        key = (tuple(sorted(context)), shape_key)
-        cached = denom_cache.get(key)
-        if cached is not None:
-            return cached
-        total = ZERO
-        if reading == "proportional_shape":
-            for order in permutations(context):
-                total += lookup(order[:top_len], order[top_len:])
+    cells = sorted(system.cells.items(), key=lambda item: popcount(item[0][0]))
+    group = []
+    for pi in permutations(range(system.n)):
+        for (mask, a, b), value in cells:
+            image = 0
+            for x in members(mask):
+                image |= 1 << pi[x]
+            if system.cells[(image, pi[a], pi[b])] != value:
+                break
         else:
-            for order in permutations(context):
-                for cut in range(len(context) + 1):
-                    total += lookup(order[:cut], order[cut:])
-        denom_cache[key] = total
-        return total
-
-    for k in range(3, n + 1):
-        for combo in permutations(range(n), k):
-            for kp in range(1, k):
-                prefix, suffix = combo[:kp], combo[kp:]
-                inner_best, inner_worst = prefix[-1], suffix[0]
-                parent_prefix, parent_suffix = prefix[:-1], suffix[1:]
-                context = parent_prefix + parent_suffix
-                cmask = 0
-                for e in context:
-                    cmask |= 1 << e
-                coeff = table.values[(inner_best, inner_worst, cmask)]
-                weight = lookup(parent_prefix, parent_suffix)
-                denom = denominator(context, len(parent_prefix))
-                if denom == ZERO:
-                    if coeff and weight:
-                        diagnostics.append(
-                            f"zero denominator at pattern ({prefix}, {suffix}) with "
-                            f"nonzero numerator {coeff} * {weight}"
-                        )
-                    mu[(prefix, suffix)] = ZERO
-                else:
-                    mu[(prefix, suffix)] = coeff * weight / denom
-    return mu, tuple(diagnostics)
+            group.append(pi)
+    return group
 
 
-def _masses_from_mu(
-    mu: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction], n: int
+def _symmetrised(
+    masses: dict[Ranking, Fraction], group: Sequence[tuple[int, ...]]
 ) -> dict[Ranking, Fraction]:
-    """Masses from level-n pattern values: average the full-chain splits."""
-    masses: dict[Ranking, Fraction] = {}
-    for ranking in all_rankings(n):
-        total = ZERO
-        for cut in range(1, n):
-            total += mu[(ranking[:cut], ranking[cut:])]
-        value = total / (n - 1)
-        if value:
-            masses[ranking] = value
-    return masses
+    """Average of the masses relabelled by every permutation in the group.
 
-
-def _mass_problems(system: BWSystem, masses: dict[Ranking, Fraction]) -> list[str]:
-    problems = []
-    negative = [r for r, p in masses.items() if p < ZERO]
-    if negative:
-        problems.append(f"{len(negative)} negative mass(es), e.g. ranking {negative[0]}")
-    total = sum(masses.values(), ZERO)
-    if total != ONE:
-        problems.append(f"masses sum to {total}, not 1")
-    if not problems:
-        induced = _induced_cells(system.n, list(masses.items()))
-        bad = [
-            (mask, a, b)
-            for (mask, a, b), value in induced.items()
-            if value != system.prob(mask, a, b)
-        ]
-        if bad:
-            mask, a, b = min(bad, key=lambda c: (popcount(c[0]), c[0], c[1], c[2]))
-            problems.append(
-                f"{len(bad)} cell(s) not reproduced, first at subset "
-                f"{members(mask)}, pair ({a}, {b})"
-            )
-    return problems
-
-
-def _candidate_masses(
-    system: BWSystem, table: PolynomialTable
-) -> dict[Ranking, Fraction] | None:
-    """The proportional_all output, kept only when it is exactly right."""
-    try:
-        mu, _ = _recursion_mu(system, table, "proportional_all")
-        masses = _masses_from_mu(mu, system.n)
-    except (KeyError, ZeroDivisionError):
-        return None
-    if _mass_problems(system, masses):
-        return None
-    return masses
+    Relabelling a witness by a permutation that fixes every cell gives
+    another witness, so the average is a convex combination of
+    witnesses and reproduces the system too.
+    """
+    total: dict[Ranking, Fraction] = {}
+    for pi in group:
+        for ranking, p in masses.items():
+            image = tuple(pi[x] for x in ranking)
+            total[image] = total.get(image, ZERO) + p
+    return {ranking: p / len(group) for ranking, p in total.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -652,24 +543,22 @@ def _candidate_masses(
 
 
 class Construction:
-    """A constructed witness for one system under one reading.
+    """A constructed witness for one system.
 
-    Exposes the distribution, pattern measures under it, and the share
-    values used by the public recursion interface.  Pattern measures
+    Exposes the distribution, how it was solved (``mode``), pattern
+    measures under it, and the share values.  Pattern measures
     are memoized because audits revisit the same descriptors.
     """
 
     def __init__(
         self,
         system: BWSystem,
-        reading: str,
         distribution: RankingDistribution,
         mode: str,
         diagnostics: tuple[str, ...],
         table: PolynomialTable,
     ):
         self.system = system
-        self.reading = reading
         self.distribution = distribution
         self.mode = mode
         self.diagnostics = diagnostics
@@ -706,15 +595,13 @@ class Construction:
         return self.pattern_measure(key[0], key[1]) / (len(listed) - 1)
 
 
-_CONSTRUCTION_CACHE: OrderedDict[tuple[int, str], Construction] = OrderedDict()
+_CONSTRUCTION_CACHE: OrderedDict[int, Construction] = OrderedDict()
 _CONSTRUCTION_CACHE_LIMIT = 8
 
 
-def build_construction(system: BWSystem, reading: str = DEFAULT_READING) -> Construction:
+def build_construction(system: BWSystem) -> Construction:
     """Construct (or fetch from cache) a witness for a representable system."""
-    if reading not in READINGS:
-        raise OutOfRange(f"unknown reading {reading!r}; choose one of {READINGS}")
-    key = (id(system), reading)
+    key = id(system)
     hit = _CONSTRUCTION_CACHE.get(key)
     if hit is not None and hit.system is system:
         _CONSTRUCTION_CACHE.move_to_end(key)
@@ -733,33 +620,16 @@ def build_construction(system: BWSystem, reading: str = DEFAULT_READING) -> Cons
             f"pair ({a}, {b}), context {members(mask)}: {value}"
         )
 
-    if reading == "declarative":
-        candidate = _candidate_masses(system, table)
-        if candidate is not None:
-            masses, mode, notes = candidate, "recursive-candidate", ()
-        else:
-            masses, mode, notes = _declarative_masses(system, table)
-    else:
-        mu, notes = _recursion_mu(system, table, reading)
-        masses = _masses_from_mu(mu, system.n)
-        problems = _mass_problems(system, masses)
-        if problems:
-            error = ConstructionInconsistent(
-                f"reading {reading!r} fails on this system: " + "; ".join(problems)
-            )
-            error.diagnostics = notes
-            raise error
-        mode = "recursion"
+    masses, mode, notes = _declarative_masses(system, table)
+    group = _stabiliser(system)
+    if len(group) > 1:
+        masses = _symmetrised(masses, group)
 
-    distribution = RankingDistribution(
-        n=system.n, mass={r: p for r, p in masses.items() if p}
-    )
     built = Construction(
         system=system,
-        reading=reading,
-        distribution=distribution,
+        distribution=RankingDistribution(n=system.n, mass=masses),
         mode=mode,
-        diagnostics=tuple(notes),
+        diagnostics=notes,
         table=table,
     )
     _CONSTRUCTION_CACHE[key] = built
@@ -768,24 +638,23 @@ def build_construction(system: BWSystem, reading: str = DEFAULT_READING) -> Cons
     return built
 
 
-def build_distribution(system: BWSystem, reading: str = DEFAULT_READING) -> RankingDistribution:
+def build_distribution(system: BWSystem) -> RankingDistribution:
     """A distribution reproducing every cell of a representable system.
 
     Raises :class:`NotRepresentable` when the sign test fails and
-    :class:`ConstructionInconsistent` when the requested reading cannot
-    reproduce the system.
+    :class:`ConstructionInconsistent` when no nonnegative solution of
+    the witness equations exists.
     """
-    return build_construction(system, reading).distribution
+    return build_construction(system).distribution
 
 
 def f_prime(
     system: BWSystem,
     prefix: Sequence[int],
     suffix: Sequence[int],
-    reading: str = DEFAULT_READING,
 ) -> Fraction:
     """Share value of a pattern under the constructed witness."""
-    return build_construction(system, reading).f_prime(prefix, suffix)
+    return build_construction(system).f_prime(prefix, suffix)
 
 
 def lemma_b_check(
@@ -793,7 +662,6 @@ def lemma_b_check(
     a: int,
     b: int,
     B: SubsetLike,
-    reading: str = DEFAULT_READING,
 ) -> bool:
     """Identity check: summed pattern densities over arrangements of B.
 
@@ -808,7 +676,7 @@ def lemma_b_check(
         raise InvalidContext(
             f"the pair ({a}, {b}) must be distinct and disjoint from {members(mask)}"
         )
-    built = build_construction(system, reading)
+    built = build_construction(system)
     n = system.n
     k = popcount(mask) + 2
     scale = factorial(n - k)
@@ -818,105 +686,3 @@ def lemma_b_check(
             left += built.pattern_measure(order[:cut] + (a,), (b,) + order[cut:])
     return Fraction(left, scale) == Fraction(built.table.values[(a, b, mask)], scale)
 
-
-# ---------------------------------------------------------------------------
-# Reading adjudication
-
-
-@dataclass(frozen=True)
-class ReadingOutcome:
-    """How one reading fared across the adjudication battery."""
-
-    reading: str
-    cases: int
-    failures: tuple[tuple[str, str, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-@dataclass(frozen=True)
-class AdjudicationReport:
-    """Battery results for every reading; the passing set is authoritative."""
-
-    max_n: int
-    outcomes: tuple[ReadingOutcome, ...]
-
-    @property
-    def enabled(self) -> tuple[str, ...]:
-        return tuple(o.reading for o in self.outcomes if o.passed)
-
-
-def adjudicate_readings(
-    max_n: int = 4, seed: int = 20260824, random_cases_per_n: int = 20
-) -> AdjudicationReport:
-    """Run every reading against exhaustively generated representable systems.
-
-    The battery holds, for each n up to ``max_n``: every point-mass
-    distribution, the uniform distribution, and seeded random mixtures.
-    Each induced system must build, normalize, reproduce every cell,
-    and pass the density identity for all (a, b, B).  The set of
-    readings passing everything is what the package enables by default.
-    """
-    from .simulate import SeededRng, random_distribution
-
-    if max_n < 2:
-        raise OutOfRange(f"battery needs max_n >= 2, got {max_n}")
-    battery: list[tuple[str, BWSystem]] = []
-    for n in range(2, max_n + 1):
-        for ranking in all_rankings(n):
-            dist = RankingDistribution(n=n, mass={ranking: ONE})
-            tag = "point-" + "".join(map(str, ranking))
-            battery.append((f"n{n}-{tag}", system_from_distribution(dist)))
-        uniform = Fraction(1, factorial(n))
-        dist = RankingDistribution(
-            n=n, mass={r: uniform for r in all_rankings(n)}
-        )
-        battery.append((f"n{n}-uniform", system_from_distribution(dist)))
-        rng = SeededRng(seed).spawn(n)
-        for case in range(random_cases_per_n):
-            support = 2 + rng.randrange(max(1, factorial(n) - 1))
-            mixture = random_distribution(n, rng, support_size=min(support, factorial(n)))
-            battery.append((f"n{n}-random-{case}", system_from_distribution(mixture)))
-
-    outcomes = []
-    for reading in READINGS:
-        failures: list[tuple[str, str, str]] = []
-        for tag, system in battery:
-            try:
-                built = build_construction(system, reading)
-            except (NotRepresentable, ConstructionInconsistent) as exc:
-                failures.append((tag, "build", str(exc)))
-                continue
-            total = built.distribution.total()
-            if total != ONE:
-                failures.append((tag, "normalization", f"total {total}"))
-                continue
-            verification = verify_reconstruction(system, built.distribution)
-            if not verification.ok:
-                failures.append(
-                    (tag, "reconstruction", f"{len(verification.mismatches)} mismatched cell(s)")
-                )
-                continue
-            ok = True
-            for a in range(system.n):
-                for b in range(system.n):
-                    if a == b:
-                        continue
-                    rest = full_mask(system.n) & ~(1 << a) & ~(1 << b)
-                    for cmask in _submasks_list(rest):
-                        if not lemma_b_check(system, a, b, cmask, reading):
-                            failures.append(
-                                (tag, "density-identity", f"pair ({a},{b}), set {members(cmask)}")
-                            )
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        outcomes.append(
-            ReadingOutcome(reading=reading, cases=len(battery), failures=tuple(failures))
-        )
-    return AdjudicationReport(max_n=max_n, outcomes=tuple(outcomes))

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .core import SubsetLike, as_mask, full_mask, members, popcount
+from .core import SubsetLike, as_mask, full_mask, iter_submasks, members, popcount
 from .errors import InvalidContext, MalformedDescriptor, OutOfRange
 
 Ranking = tuple[int, ...]
@@ -160,9 +160,7 @@ def split_partition(n: int, a: int, b: int, B: SubsetLike) -> tuple[PatternDescr
 
     ground = full_mask(n)
     out: list[PatternDescriptor] = []
-    subsets = sorted(
-        (sub for sub in _submasks(mask)), key=lambda s: (popcount(s), members(s))
-    )
+    subsets = sorted(iter_submasks(mask), key=lambda s: (popcount(s), members(s)))
     for sub in subsets:
         for order in permutations(members(sub)):
             for cut in range(len(order), -1, -1):
@@ -174,15 +172,6 @@ def split_partition(n: int, a: int, b: int, B: SubsetLike) -> tuple[PatternDescr
                     )
                 )
     return tuple(out)
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def s_union(n: int, elements: Sequence[int]) -> tuple[PatternDescriptor, ...]:

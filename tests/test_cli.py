@@ -159,7 +159,7 @@ class TestCheck:
 class TestConstruct:
     def test_default_reading_builds_and_verifies(self, uniform4_file):
         report = _ok(["construct", str(uniform4_file)])
-        assert report["verdicts"] == {"recursion": "Representable"}
+        assert report["verdicts"] == {"declarative": "Representable"}
         assert report["methods_agree"] is True
         assert report["verified"] is True
         assert len(report["distribution"]) == 24
@@ -167,7 +167,7 @@ class TestConstruct:
     def test_both_methods_agree_on_uniform(self, uniform4_file):
         report = _ok(["construct", str(uniform4_file), "--method", "both"])
         assert report["verdicts"] == {
-            "recursion": "Representable",
+            "declarative": "Representable",
             "lp": "Representable",
         }
         assert report["verified"] is True
@@ -189,19 +189,9 @@ class TestConstruct:
         code, report = run_command(["construct", str(gap_file), "--method", "both"])
         assert code == 2
         assert report["verdicts"] == {
-            "recursion": "NotRepresentable",
+            "declarative": "NotRepresentable",
             "lp": "NotRepresentable",
         }
-
-    def test_alternative_reading_failure_is_operational(self, tmp_path, mixture_file):
-        forward = _ok(["forward", str(mixture_file)])
-        system_path = tmp_path / "mixture_system.json"
-        dump_json(forward["system"], system_path)
-        code, report = run_command(
-            ["construct", str(system_path), "--reading", "proportional_all"]
-        )
-        assert code == 1
-        assert report["error"]["type"] == "ConstructionInconsistent"
 
 
 class TestForward:

@@ -1,6 +1,7 @@
-"""Witness construction, the forward oracle, and the reading adjudication."""
+"""Witness construction, the forward oracle, and symmetrisation of witnesses."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,8 @@ from bwrum import (
     MalformedPattern,
     NormalizationViolation,
     NotRepresentable,
-    OutOfRange,
     OutOfRangeProbability,
-    PolynomialTable,
-    SeededRng,
-    adjudicate_readings,
-    all_polynomials,
+    all_rankings,
     build_construction,
     build_distribution,
     bw_from_distribution,
@@ -31,7 +28,6 @@ from bwrum import (
     verify_reconstruction,
 )
 from bwrum.core import choice_subsets, full_mask, ordered_pairs
-from bwrum.measure import _recursion_mu
 
 from conftest import random_induced
 from test_polynomials import negative_pair_system, skewed_pair_system
@@ -114,8 +110,6 @@ class TestForwardOracle:
 class TestDeclarativeConstruction:
     def test_uniform_witness_is_uniform(self):
         built = build_construction(uniform_system(4))
-        assert built.mode == "recursive-candidate"
-        assert built.reading == "declarative"
         assert all(p == Fraction(1, 24) for p in built.distribution.mass.values())
         assert len(built.distribution.mass) == 24
 
@@ -127,15 +121,16 @@ class TestDeclarativeConstruction:
         assert dist.mass == {(0, 1): Fraction(2, 7), (1, 0): Fraction(5, 7)}
 
     def test_point_mass_round_trip(self):
-        dist = make_distribution(4, {(2, 0, 3, 1): 1})
-        rebuilt = build_distribution(system_from_distribution(dist))
-        assert rebuilt.mass == {(2, 0, 3, 1): 1}
+        for ranking in ((2, 0, 3, 1), (1, 2, 0)):
+            dist = make_distribution(len(ranking), {ranking: 1})
+            rebuilt = build_distribution(system_from_distribution(dist))
+            assert rebuilt.mass == {ranking: 1}
 
     def test_mixture_round_trip_verifies(self):
         for seed in (5, 6, 7):
             dist, system = random_induced(4, seed)
             built = build_construction(system)
-            assert built.mode in ("recursive-candidate", "exact-solve", "kernel-completed")
+            assert built.mode in ("exact-solve", "kernel-completed")
             assert built.distribution.total() == 1
             assert verify_reconstruction(system, built.distribution).ok
 
@@ -147,49 +142,38 @@ class TestDeclarativeConstruction:
         with pytest.raises(ConstructionInconsistent):
             build_distribution(skewed_pair_system())
 
-    def test_unknown_reading_is_rejected(self):
-        with pytest.raises(OutOfRange):
-            build_distribution(uniform_system(3), "majority")
-
     def test_construction_is_cached_per_system_and_reading(self):
         system = uniform_system(3)
         assert build_construction(system) is build_construction(system)
 
 
-class TestProportionalReadings:
-    def test_both_fail_on_a_simple_mixture(self):
-        dist = make_distribution(
-            3, {(0, 1, 2): Fraction(1, 2), (2, 1, 0): Fraction(1, 2)}
-        )
-        system = system_from_distribution(dist)
-        with pytest.raises(ConstructionInconsistent, match="not reproduced"):
-            build_construction(system, "proportional_all")
-        with pytest.raises(ConstructionInconsistent, match="sum to 2"):
-            build_construction(system, "proportional_shape")
+def _relabel(pi, ranking):
+    return tuple(pi[x] for x in ranking)
 
-    def test_point_masses_build_under_every_reading(self):
-        dist = make_distribution(3, {(1, 2, 0): 1})
-        system = system_from_distribution(dist)
-        for reading in ("declarative", "proportional_shape", "proportional_all"):
-            built = build_construction(system, reading)
-            assert built.distribution.mass == {(1, 2, 0): 1}
 
-    def test_zero_denominator_is_reported_and_contributes_zero(self):
-        values = {}
-        for a in range(3):
-            for b in range(3):
-                if a == b:
-                    continue
-                values[(a, b, 0)] = Fraction(0)
-                c = 3 - a - b
-                values[(a, b, 1 << c)] = Fraction(0)
-        values[(0, 2, 0)] = Fraction(1)
-        values[(2, 0, 0)] = Fraction(-1)
-        values[(0, 1, 0b100)] = Fraction(5)
-        table = PolynomialTable(n=3, values=values)
-        mu, diagnostics = _recursion_mu(uniform_system(3), table, "proportional_all")
-        assert mu[((0,), (1, 2))] == 0
-        assert any("zero denominator" in note for note in diagnostics)
+class TestStabiliserAveraging:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32), n=st.integers(2, 4), data=st.data())
+    def test_witness_is_invariant_under_a_symmetry_of_its_input(self, seed, n, data):
+        pi = tuple(data.draw(st.permutations(range(n))))
+        support = data.draw(st.integers(1, factorial(n)))
+        source, _ = random_induced(n, seed, support_size=support)
+        # Average the source over the cyclic group pi generates, so the
+        # induced system is fixed by pi.
+        identity = tuple(range(n))
+        powers = [identity]
+        while (step := _relabel(pi, powers[-1])) != identity:
+            powers.append(step)
+        mass = {}
+        for sigma in powers:
+            for ranking, p in source.mass.items():
+                image = _relabel(sigma, ranking)
+                mass[image] = mass.get(image, Fraction(0)) + p / len(powers)
+        system = system_from_distribution(make_distribution(n, mass))
+        witness = build_distribution(system)
+        assert verify_reconstruction(system, witness).ok
+        for ranking in all_rankings(n):
+            assert witness.mass_of(_relabel(pi, ranking)) == witness.mass_of(ranking)
 
 
 class TestShareValues:
@@ -241,17 +225,3 @@ class TestDensityIdentity:
         with pytest.raises(InvalidContext):
             lemma_b_check(uniform_system(4), 0, 0, {2})
 
-
-class TestAdjudication:
-    def test_declarative_is_the_only_enabled_reading(self):
-        report = adjudicate_readings(max_n=3, random_cases_per_n=4)
-        assert report.enabled == ("declarative",)
-        by_reading = {o.reading: o for o in report.outcomes}
-        assert by_reading["declarative"].passed
-        assert not by_reading["proportional_shape"].passed
-        assert not by_reading["proportional_all"].passed
-        assert all(o.cases == by_reading["declarative"].cases for o in report.outcomes)
-
-    def test_rejects_degenerate_battery(self):
-        with pytest.raises(OutOfRange):
-            adjudicate_readings(max_n=1)

@@ -3,31 +3,29 @@
 Decides whether nonnegative masses on all n! rankings can reproduce a
 system: one equation per (subset, best, worst) cell, whose 0/1
 coefficients mark the rankings ranking that pair first and last within
-the subset, plus total mass one.  The oracle is deliberately
-independent of the witness construction: it works on the raw cell
-equations, keeps its own elimination code, and settles the remaining
-cases with a textbook phase-1 simplex under Bland's anti-cycling rule
-in exact rational arithmetic.
+the subset, plus total mass one.  The right-hand side is the system's
+cells themselves, not the polynomial values the witness construction
+in :mod:`bwrum.measure` solves for, so the two routes share the solver
+in :mod:`bwrum.linear` but not their equations.  The forward oracle in
+:mod:`bwrum.measure` shares code with neither, and every witness the
+command line reports is re-checked against it.
 
-The coefficient matrix depends only on n, so it is eliminated once per
-n with tracked row operations; each system then costs one right-hand
-side transform.  Three outcomes short-circuit the simplex: inconsistent
-equations (infeasible), and a nonnegative particular solution (feasible
-with that point as witness).
+The cell equations depend only on n and are reduced once per n.  The
+verdict's ``method`` is "presolve" when the reduction alone decides
+(inconsistent equations, or a nonnegative particular solution) and
+"phase1" when the kernel phase-1 pivot runs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
-from .core import ONE, ZERO, BWSystem, choice_subsets, ordered_pairs
-from .errors import DimensionTooLarge
+from .core import ONE, BWSystem, choice_subsets, ordered_pairs
+from .linear import LP_MAX_N  # noqa: F401  (re-exported: the size cap of both routes)
+from .linear import INCONSISTENT, PARTICULAR, Reduction, nonnegative_solution, require_size
 from .measure import RankingDistribution
-from .rankings import Ranking, all_rankings
-
-LP_MAX_N = 6
+from .rankings import all_rankings
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,7 @@ class LpResult:
     """Oracle verdict; ``distribution`` carries a feasible point when one exists.
 
     ``method`` records how the verdict was reached: "presolve" when the
-    elimination already decided, "phase1" when the simplex ran.
+    reduction already decided, "phase1" when the kernel phase-1 pivot ran.
     """
 
     feasible: bool
@@ -43,207 +41,49 @@ class LpResult:
     method: str
 
 
-class _CellEquations:
-    """Eliminated cell equations for one n, with tracked row operations."""
-
-    def __init__(self, n: int):
-        self.n = n
-        rankings = all_rankings(n)
-        self.rankings = rankings
-        ncols = len(rankings)
-
-        self.cell_order: list[tuple[int, int, int]] = []
-        rows: list[list[Fraction]] = []
-        for mask in choice_subsets(n):
-            per_ranking = []
-            for ranking in rankings:
-                best = worst = -1
-                for x in ranking:
-                    if (mask >> x) & 1:
-                        if best < 0:
-                            best = x
-                        worst = x
-                per_ranking.append((best, worst))
-            for a, b in ordered_pairs(mask):
-                self.cell_order.append((mask, a, b))
-                rows.append(
-                    [ONE if pair == (a, b) else ZERO for pair in per_ranking]
-                )
-        rows.append([ONE] * ncols)
-
-        nrows = len(rows)
-        ops = [[ONE if i == j else ZERO for j in range(nrows)] for i in range(nrows)]
-        rank = 0
-        pivots: list[tuple[int, int]] = []
-        for col in range(ncols):
-            chosen = next((r for r in range(rank, nrows) if rows[r][col]), None)
-            if chosen is None:
-                continue
-            rows[rank], rows[chosen] = rows[chosen], rows[rank]
-            ops[rank], ops[chosen] = ops[chosen], ops[rank]
-            lead = rows[rank][col]
-            if lead != ONE:
-                inv = ONE / lead
-                rows[rank] = [v * inv for v in rows[rank]]
-                ops[rank] = [v * inv for v in ops[rank]]
-            for r in range(nrows):
-                if r != rank and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-                    ops[r] = [v - f * w for v, w in zip(ops[r], ops[rank])]
-            pivots.append((rank, col))
-            rank += 1
-            if rank == nrows:
-                break
-
-        self.rows = rows
-        self.ops = ops
-        self.rank = rank
-        self.pivots = pivots
-        self.nrows = nrows
-        self.ncols = ncols
-
-    def rhs_for(self, system: BWSystem) -> list[Fraction]:
-        rhs = [system.prob(mask, a, b) for mask, a, b in self.cell_order]
-        rhs.append(ONE)
-        return rhs
-
-    def transform(self, rhs: Sequence[Fraction]) -> list[Fraction]:
-        out = []
-        for r in range(self.nrows):
-            row = self.ops[r]
-            out.append(sum((row[j] * rhs[j] for j in range(self.nrows) if row[j]), ZERO))
-        return out
+def _cell_rows(n: int) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+    """The cells in equation order, and one 0/1 row per cell plus the total."""
+    rankings = all_rankings(n)
+    cell_order: list[tuple[int, int, int]] = []
+    rows: list[list[int]] = []
+    for mask in choice_subsets(n):
+        per_ranking = []
+        for ranking in rankings:
+            best = worst = -1
+            for x in ranking:
+                if (mask >> x) & 1:
+                    if best < 0:
+                        best = x
+                    worst = x
+            per_ranking.append((best, worst))
+        for a, b in ordered_pairs(mask):
+            cell_order.append((mask, a, b))
+            rows.append([int(pair == (a, b)) for pair in per_ranking])
+    rows.append([1] * len(rankings))
+    return cell_order, rows
 
 
-_EQUATION_CACHE: dict[int, _CellEquations] = {}
-
-
-def _equations(n: int) -> _CellEquations:
-    cached = _EQUATION_CACHE.get(n)
-    if cached is None:
-        cached = _CellEquations(n)
-        _EQUATION_CACHE[n] = cached
-    return cached
-
-
-def _phase1(
-    equations: _CellEquations, transformed: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Standard-form phase-1 on the eliminated equalities.
-
-    One artificial variable per independent row; minimize their sum
-    with Bland's rule (lowest eligible entering index; on ratio ties,
-    lowest basic variable index).  Feasible exactly when the optimum
-    is zero, in which case the structural columns of the final basis
-    give a feasible mass vector.
-    """
-    m = equations.rank
-    ncols = equations.ncols
-    tableau: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    basic: list[int] = []
-    for r in range(m):
-        row = list(equations.rows[r])
-        value = transformed[r]
-        if value < ZERO:
-            row = [-v for v in row]
-            value = -value
-        art = ncols + r
-        tableau.append(row)
-        rhs.append(value)
-        basic.append(art)
-
-    objective = [ZERO] * ncols
-    infeasibility = ZERO
-    for r in range(m):
-        for c in range(ncols):
-            if tableau[r][c]:
-                objective[c] += tableau[r][c]
-        infeasibility += rhs[r]
-
-    while True:
-        enter = next((c for c in range(ncols) if objective[c] > ZERO), -1)
-        if enter < 0:
-            break
-        best_ratio = None
-        leave = -1
-        for r in range(m):
-            coef = tableau[r][enter]
-            if coef > ZERO:
-                ratio = rhs[r] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basic[r] < basic[leave])
-                ):
-                    best_ratio = ratio
-                    leave = r
-        if leave < 0:
-            return None
-        lead = tableau[leave][enter]
-        if lead != ONE:
-            inv = ONE / lead
-            tableau[leave] = [v * inv for v in tableau[leave]]
-            rhs[leave] *= inv
-        pivot_row = tableau[leave]
-        for r in range(m):
-            if r != leave and tableau[r][enter]:
-                f = tableau[r][enter]
-                tableau[r] = [v - f * w for v, w in zip(tableau[r], pivot_row)]
-                rhs[r] -= f * rhs[leave]
-        if objective[enter]:
-            f = objective[enter]
-            for c in range(ncols):
-                if pivot_row[c]:
-                    objective[c] -= f * pivot_row[c]
-            infeasibility -= f * rhs[leave]
-        basic[leave] = enter
-
-    if infeasibility:
-        return None
-    masses = [ZERO] * ncols
-    for r in range(m):
-        if basic[r] < ncols:
-            masses[basic[r]] = rhs[r]
-    return masses
+@functools.cache
+def _cell_reduction(n: int) -> tuple[list[tuple[int, int, int]], Reduction]:
+    require_size(n)
+    cell_order, rows = _cell_rows(n)
+    return cell_order, Reduction(rows)
 
 
 def lp_feasibility_oracle(system: BWSystem) -> LpResult:
     """Feasibility verdict for the cell equations, with a witness when feasible."""
-    if system.n > LP_MAX_N:
-        raise DimensionTooLarge(
-            f"the exact oracle handles n <= {LP_MAX_N}; got n = {system.n} "
-            f"({system.n}! mass variables)"
-        )
-    equations = _equations(system.n)
-    transformed = equations.transform(equations.rhs_for(system))
-    if any(transformed[r] for r in range(equations.rank, equations.nrows)):
-        return LpResult(feasible=False, distribution=None, method="presolve")
-
-    particular = [ZERO] * equations.ncols
-    for r, c in equations.pivots:
-        particular[c] = transformed[r]
-    if all(v >= ZERO for v in particular):
-        return LpResult(
-            feasible=True,
-            distribution=_as_distribution(equations.rankings, particular, system.n),
-            method="presolve",
-        )
-
-    masses = _phase1(equations, transformed)
+    cell_order, reduction = _cell_reduction(system.n)
+    rhs = [system.prob(mask, a, b) for mask, a, b in cell_order]
+    rhs.append(ONE)
+    masses, stage = nonnegative_solution(reduction, rhs)
+    method = "presolve" if stage in (INCONSISTENT, PARTICULAR) else "phase1"
     if masses is None:
-        return LpResult(feasible=False, distribution=None, method="phase1")
+        return LpResult(feasible=False, distribution=None, method=method)
+    rankings = all_rankings(system.n)
     return LpResult(
         feasible=True,
-        distribution=_as_distribution(equations.rankings, masses, system.n),
-        method="phase1",
-    )
-
-
-def _as_distribution(
-    rankings: Sequence[Ranking], masses: Sequence[Fraction], n: int
-) -> RankingDistribution:
-    return RankingDistribution(
-        n=n, mass={r: v for r, v in zip(rankings, masses) if v}
+        distribution=RankingDistribution(
+            n=system.n, mass={r: v for r, v in zip(rankings, masses) if v}
+        ),
+        method=method,
     )

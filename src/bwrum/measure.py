@@ -8,16 +8,11 @@ the induced cells from any distribution (the forward oracle used as
 ground truth everywhere), and re-checks constructed witnesses cell by
 cell.
 
-A witness is built by treating the defining identities of the
-construction as one simultaneous linear system over the ranking masses:
-one equation per (best, worst, outside-set) sandwich event, whose
-measure must equal the corresponding polynomial value, plus total mass
-one.  The system's coefficient matrix depends only on n, so its exact
-Gauss-Jordan reduction is computed once per n with row operations
-tracked; each concrete system then costs a right-hand-side transform.
-When the particular solution has negative entries, a small exact
-phase-1 pivot over the kernel coordinates completes it to a nonnegative
-one.  Finally the masses are averaged over the system's permutation
+A witness is a nonnegative solution of the sandwich equations: one per
+(best, worst, outside-set) sandwich event, whose measure must equal the
+corresponding polynomial value, plus total mass one.  Their 0/1 rows
+depend only on n and are reduced once per n; :mod:`bwrum.linear` solves
+them for each system.  Finally the masses are averaged over the system's permutation
 stabiliser, the relabellings of 0..n-1 that leave every cell unchanged.
 Each relabelled witness reproduces the system as well, so the average
 is still a witness, and it inherits every symmetry of the input: the
@@ -26,11 +21,12 @@ uniform system gets the uniform distribution.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, gcd
+from math import factorial
 from typing import Sequence
 
 from .core import (
@@ -56,6 +52,7 @@ from .errors import (
     NotRepresentable,
     OutOfRangeProbability,
 )
+from .linear import INCONSISTENT, PARTICULAR, Reduction, nonnegative_solution, require_size
 from .polynomials import PolynomialTable, all_polynomials
 from .rankings import PatternDescriptor, Ranking, all_rankings, matches
 
@@ -179,7 +176,7 @@ def verify_reconstruction(system: BWSystem, dist: RankingDistribution) -> Verifi
 
 
 # ---------------------------------------------------------------------------
-# Declarative construction: the witness equations, reduced once per n
+# Declarative construction: the sandwich equations, reduced once per n
 
 
 def _sandwich_member(pos: Sequence[int], n: int, x: int, y: int, outside: int) -> bool:
@@ -218,283 +215,48 @@ def _equation_tags(n: int) -> list[tuple]:
     return tags
 
 
-class _ReducedSystem:
-    """Gauss-Jordan reduction of the witness equations for one n.
-
-    The reduction tracks its row operations in an auxiliary matrix, so
-    any right-hand side can be transformed in one matrix-vector pass;
-    the coefficient work is paid once per n and shared by every system.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        rankings = all_rankings(n)
-        self.rankings = rankings
-        self.tags = _equation_tags(n)
-        ncols = len(rankings)
-        positions = []
-        for ranking in rankings:
-            pos = [0] * n
-            for i, x in enumerate(ranking):
-                pos[x] = i
-            positions.append(pos)
-
-        rows: list[list[Fraction]] = []
-        for tag in self.tags:
-            if tag[0] == "cell":
-                _, x, y, outside = tag
-                rows.append(
-                    [
-                        ONE if _sandwich_member(positions[j], n, x, y, outside) else ZERO
-                        for j in range(ncols)
-                    ]
-                )
-            else:
-                rows.append([ONE] * ncols)
-
-        nrows = len(rows)
-        trans = [[ONE if i == j else ZERO for j in range(nrows)] for i in range(nrows)]
-        rank = 0
-        pivots: list[tuple[int, int]] = []
-        for col in range(ncols):
-            pivot_row = next((r for r in range(rank, nrows) if rows[r][col]), None)
-            if pivot_row is None:
-                continue
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            trans[rank], trans[pivot_row] = trans[pivot_row], trans[rank]
-            inv = ONE / rows[rank][col]
-            if inv != ONE:
-                rows[rank] = [v * inv for v in rows[rank]]
-                trans[rank] = [v * inv for v in trans[rank]]
-            for r in range(nrows):
-                if r != rank and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-                    trans[r] = [v - f * w for v, w in zip(trans[r], trans[rank])]
-            pivots.append((rank, col))
-            rank += 1
-            if rank == nrows:
-                break
-
-        self.reduced = rows
-        self.trans = trans
-        self.rank = rank
-        self.pivots = pivots
-        pivot_cols = {c for _, c in pivots}
-        self.free_cols = [c for c in range(ncols) if c not in pivot_cols]
-        self.ncols = ncols
-        self.nrows = nrows
-        self._kernel: list[list[Fraction]] | None = None
-
-    def solve(self, rhs: Sequence[Fraction]) -> list[Fraction] | None:
-        """Particular solution with free coordinates zero, or None if inconsistent."""
-        transformed = []
-        for r in range(self.nrows):
-            row = self.trans[r]
-            transformed.append(sum((row[j] * rhs[j] for j in range(self.nrows) if row[j]), ZERO))
-        if any(transformed[r] for r in range(self.rank, self.nrows)):
-            return None
-        x = [ZERO] * self.ncols
-        for r, c in self.pivots:
-            x[c] = transformed[r]
-        return x
-
-    def kernel_basis(self) -> list[list[Fraction]]:
-        if self._kernel is None:
-            basis = []
-            for fc in self.free_cols:
-                vec = [ZERO] * self.ncols
-                vec[fc] = ONE
-                for r, c in self.pivots:
-                    vec[c] = -self.reduced[r][fc]
-                basis.append(vec)
-            self._kernel = basis
-        return self._kernel
-
-
-_REDUCED_CACHE: dict[int, _ReducedSystem] = {}
-
-
-def _reduced_system(n: int) -> _ReducedSystem:
-    cached = _REDUCED_CACHE.get(n)
-    if cached is None:
-        cached = _ReducedSystem(n)
-        _REDUCED_CACHE[n] = cached
-    return cached
-
-
-def _reduce_row(cells: list[int], den: int) -> tuple[list[int], int]:
-    """Divide a tableau row and its denominator by their common factor."""
-    g = den
-    for v in cells:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return cells, den
-    return [v // g for v in cells], den // g
-
-
-def _complete_nonnegative(
-    x: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]
-) -> list[Fraction] | None:
-    """Shift a solution inside the kernel until all coordinates are nonnegative.
-
-    Searches for kernel coefficients t with x + sum_j t_j * basis_j >= 0
-    by an exact phase-1 pivot: rows already nonnegative start with their
-    surplus variable basic, artificials appear only on violated rows,
-    and Bland's rule (lowest eligible index, lowest basic index on
-    ratio ties) guarantees termination.  Each tableau row is held as
-    integers over one positive denominator, with the right-hand side as
-    the final entry, so the pivot loop runs on plain integers instead
-    of per-entry normalised rationals.  Returns None when no
-    nonnegative solution exists.
-    """
-    count = len(x)
-    if all(v >= ZERO for v in x):
-        return list(x)
-    if not basis:
-        return None
-    d = len(basis)
-    art_start = 2 * d + count
-    n_art = sum(1 for v in x if v < ZERO)
-    ncols = art_start + n_art
-    rhs_col = ncols
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    basic: list[int] = []
-    next_art = art_start
-    for i in range(count):
-        zs = [basis[j][i] for j in range(d)]
-        den = 1
-        for z in zs:
-            if z:
-                den = den * z.denominator // gcd(den, z.denominator)
-        rhs = x[i] if x[i] >= ZERO else -x[i]
-        den = den * rhs.denominator // gcd(den, rhs.denominator)
-        row = [0] * (ncols + 1)
-        sign = 1 if x[i] >= ZERO else -1
-        for j, z in enumerate(zs):
-            if z:
-                scaled = z.numerator * (den // z.denominator)
-                row[j] = -sign * scaled
-                row[d + j] = sign * scaled
-        row[2 * d + i] = sign * den
-        if sign < 0:
-            row[next_art] = den
-            basic.append(next_art)
-            next_art += 1
-        else:
-            basic.append(2 * d + i)
-        row[rhs_col] = rhs.numerator * (den // rhs.denominator)
-        rows.append(row)
-        dens.append(den)
-
-    # Reduced phase-1 objective over non-artificial columns, with the
-    # total infeasibility carried as the final entry.
-    obj_exact = [ZERO] * (art_start + 1)
-    for r in range(count):
-        if basic[r] >= art_start:
-            den = dens[r]
-            row = rows[r]
-            for c in range(art_start):
-                if row[c]:
-                    obj_exact[c] += Fraction(row[c], den)
-            obj_exact[art_start] += Fraction(row[rhs_col], den)
-    oden = 1
-    for v in obj_exact:
-        if v:
-            oden = oden * v.denominator // gcd(oden, v.denominator)
-    obj = [v.numerator * (oden // v.denominator) for v in obj_exact]
-
-    while True:
-        enter = next((c for c in range(art_start) if obj[c] > 0), -1)
-        if enter < 0:
-            break
-        best_num = best_coef = 0
-        leave = -1
-        for r in range(count):
-            coef = rows[r][enter]
-            if coef > 0:
-                num = rows[r][rhs_col]
-                if leave < 0:
-                    best_num, best_coef, leave = num, coef, r
-                else:
-                    left = num * best_coef
-                    right = best_num * coef
-                    if left < right or (left == right and basic[r] < basic[leave]):
-                        best_num, best_coef, leave = num, coef, r
-        if leave < 0:
-            return None
-        # The leaving row's old denominator cancels when the row is
-        # rescaled to make the pivot entry one.
-        prow, pden = _reduce_row(rows[leave], rows[leave][enter])
-        rows[leave] = prow
-        dens[leave] = pden
-        for r in range(count):
-            if r == leave:
-                continue
-            row = rows[r]
-            f = row[enter]
-            if f:
-                updated = [v * pden - f * w for v, w in zip(row, prow)]
-                rows[r], dens[r] = _reduce_row(updated, dens[r] * pden)
-        f = obj[enter]
-        if f:
-            pslice = prow[:art_start]
-            pslice.append(prow[rhs_col])
-            updated = [v * pden - f * w for v, w in zip(obj, pslice)]
-            obj, oden = _reduce_row(updated, oden * pden)
-        basic[leave] = enter
-
-    if obj[art_start]:
-        return None
-    shift = [ZERO] * d
-    for r in range(count):
-        var = basic[r]
-        if var < d:
-            shift[var] += Fraction(rows[r][rhs_col], dens[r])
-        elif var < 2 * d:
-            shift[var - d] -= Fraction(rows[r][rhs_col], dens[r])
-    result = [
-        x[i] + sum((basis[j][i] * shift[j] for j in range(d) if shift[j]), ZERO)
-        for i in range(count)
+@functools.cache
+def _sandwich_reduction(n: int) -> tuple[list[tuple], Reduction]:
+    """The equation tags for n and the reduction of their 0/1 rows."""
+    require_size(n)
+    tags = _equation_tags(n)
+    positions = []
+    for ranking in all_rankings(n):
+        pos = [0] * n
+        for i, x in enumerate(ranking):
+            pos[x] = i
+        positions.append(pos)
+    rows = [
+        [int(_sandwich_member(pos, n, *tag[1:])) for pos in positions]
+        if tag[0] == "cell"
+        else [1] * len(positions)
+        for tag in tags
     ]
-    if any(v < ZERO for v in result):
-        raise ConstructionInconsistent("kernel completion produced a negative mass")
-    return result
+    return tags, Reduction(rows)
 
 
 def _declarative_masses(
     system: BWSystem, table: PolynomialTable
-) -> tuple[dict[Ranking, Fraction], str, tuple[str, ...]]:
-    reduced = _reduced_system(system.n)
-    rhs = [
-        table.values[(tag[1], tag[2], tag[3])] if tag[0] == "cell" else ONE
-        for tag in reduced.tags
-    ]
-    particular = reduced.solve(rhs)
-    if particular is None:
+) -> tuple[dict[Ranking, Fraction], str]:
+    tags, reduction = _sandwich_reduction(system.n)
+    rhs = [table.values[tag[1:]] if tag[0] == "cell" else ONE for tag in tags]
+    values, stage = nonnegative_solution(reduction, rhs)
+    if stage == INCONSISTENT:
         raise ConstructionInconsistent(
             "the witness equations for this system are inconsistent; "
             "no ranking distribution reproduces every cell"
         )
-    if all(v >= ZERO for v in particular):
-        values, mode, notes = particular, "exact-solve", ()
-    else:
-        completed = _complete_nonnegative(particular, reduced.kernel_basis())
-        if completed is None:
-            raise ConstructionInconsistent(
-                "the witness equations admit solutions, but none with all masses nonnegative"
-            )
-        values = completed
-        mode = "kernel-completed"
-        notes = ("particular solution had negative entries; completed inside the kernel",)
+    if values is None:
+        raise ConstructionInconsistent(
+            "the witness equations admit solutions, but none with all masses nonnegative"
+        )
+    mode = "exact-solve" if stage == PARTICULAR else "kernel-completed"
     masses = {
         ranking: value
-        for ranking, value in zip(reduced.rankings, values)
+        for ranking, value in zip(all_rankings(system.n), values)
         if value
     }
-    return masses, mode, notes
+    return masses, mode
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +317,11 @@ class Construction:
         system: BWSystem,
         distribution: RankingDistribution,
         mode: str,
-        diagnostics: tuple[str, ...],
         table: PolynomialTable,
     ):
         self.system = system
         self.distribution = distribution
         self.mode = mode
-        self.diagnostics = diagnostics
         self.table = table
         self._measures: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
 
@@ -620,7 +380,7 @@ def build_construction(system: BWSystem) -> Construction:
             f"pair ({a}, {b}), context {members(mask)}: {value}"
         )
 
-    masses, mode, notes = _declarative_masses(system, table)
+    masses, mode = _declarative_masses(system, table)
     group = _stabiliser(system)
     if len(group) > 1:
         masses = _symmetrised(masses, group)
@@ -629,7 +389,6 @@ def build_construction(system: BWSystem) -> Construction:
         system=system,
         distribution=RankingDistribution(n=system.n, mass=masses),
         mode=mode,
-        diagnostics=notes,
         table=table,
     )
     _CONSTRUCTION_CACHE[key] = built

@@ -157,7 +157,7 @@ class TestCheck:
 
 
 class TestConstruct:
-    def test_default_reading_builds_and_verifies(self, uniform4_file):
+    def test_default_method_builds_and_verifies(self, uniform4_file):
         report = _ok(["construct", str(uniform4_file)])
         assert report["verdicts"] == {"declarative": "Representable"}
         assert report["methods_agree"] is True

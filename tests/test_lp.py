@@ -1,5 +1,7 @@
 """The independent feasibility oracle and its agreement with construction."""
 
+from fractions import Fraction
+
 import pytest
 
 from bwrum import (
@@ -7,9 +9,13 @@ from bwrum import (
     DimensionTooLarge,
     LP_MAX_N,
     NotRepresentable,
+    RankingDistribution,
     SeededRng,
+    all_rankings,
     build_distribution,
+    check_representable,
     lp_feasibility_oracle,
+    system_from_distribution,
     uniform_system,
     verify_reconstruction,
 )
@@ -81,3 +87,48 @@ class TestAgreementWithConstruction:
         for n, seed in ((3, 31), (4, 32), (4, 33)):
             _, system = random_induced(n, seed)
             assert lp_feasibility_oracle(system).feasible
+
+
+def signed_mass_system(seed: int):
+    """The n=4 system induced by uniform masses after twelve signed unit moves.
+
+    Each move takes 1/48 from one random ranking and gives it to another,
+    so the masses still sum to one but some may be negative.  The induced
+    system then satisfies every linear identity of the cell equations.
+    """
+    rng = SeededRng(seed)
+    rankings = all_rankings(4)
+    steps = [0] * len(rankings)
+    for _ in range(12):
+        steps[rng.randrange(24)] += 1
+        steps[rng.randrange(24)] -= 1
+    mass = {r: Fraction(2 + s, 48) for r, s in zip(rankings, steps)}
+    return mass, system_from_distribution(RankingDistribution(n=4, mass=mass))
+
+
+# Seeds below 200 whose system has a negative mass, passes the sign test
+# and is decided by phase 1, with the verdict on which the former
+# Fraction-tableau simplex and the kernel completion agreed.
+PHASE_ONE_VERDICTS = {
+    9: True, 12: True, 18: False, 44: False, 48: True, 52: True, 63: True,
+    67: False, 82: False, 85: False, 87: False, 118: True, 135: False,
+    136: False, 137: True, 153: True, 169: True, 180: True, 181: False, 182: True,
+}
+
+
+class TestSignedMassSystems:
+    def test_pinned_phase_one_verdicts(self):
+        for seed, feasible in PHASE_ONE_VERDICTS.items():
+            mass, system = signed_mass_system(seed)
+            assert min(mass.values()) < 0, seed
+            assert check_representable(system).representable, seed
+            result = lp_feasibility_oracle(system)
+            assert (result.feasible, result.method) == (feasible, "phase1"), seed
+            try:
+                dist = build_distribution(system)
+            except ConstructionInconsistent:
+                dist = None
+            assert (dist is not None) == feasible, seed
+            if feasible:
+                assert verify_reconstruction(system, result.distribution).ok, seed
+                assert verify_reconstruction(system, dist).ok, seed

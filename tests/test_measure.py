@@ -1,5 +1,6 @@
 """Witness construction, the forward oracle, and symmetrisation of witnesses."""
 
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwrum import (
+    LP_MAX_N,
     ConstructionInconsistent,
+    DimensionTooLarge,
     InconsistentDimensions,
     InvalidContext,
     MalformedPattern,
@@ -19,6 +22,7 @@ from bwrum import (
     build_construction,
     build_distribution,
     bw_from_distribution,
+    check_representable,
     f_prime,
     lemma_b_check,
     make_distribution,
@@ -134,7 +138,7 @@ class TestDeclarativeConstruction:
             assert built.distribution.total() == 1
             assert verify_reconstruction(system, built.distribution).ok
 
-    def test_negative_polynomial_raises_before_any_reading(self):
+    def test_negative_polynomial_raises_before_any_solve(self):
         with pytest.raises(NotRepresentable):
             build_distribution(negative_pair_system())
 
@@ -142,9 +146,18 @@ class TestDeclarativeConstruction:
         with pytest.raises(ConstructionInconsistent):
             build_distribution(skewed_pair_system())
 
-    def test_construction_is_cached_per_system_and_reading(self):
+    def test_construction_is_cached_per_system(self):
         system = uniform_system(3)
         assert build_construction(system) is build_construction(system)
+
+    def test_refuses_oversized_systems_before_eliminating(self):
+        system = uniform_system(LP_MAX_N + 1)
+        started = time.perf_counter()
+        with pytest.raises(DimensionTooLarge):
+            build_distribution(system)
+        with pytest.raises(DimensionTooLarge):
+            check_representable(system, construct_witness=True)
+        assert time.perf_counter() - started < 5.0
 
 
 def _relabel(pi, ranking):

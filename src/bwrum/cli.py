@@ -305,16 +305,17 @@ def _cmd_construct(args) -> tuple[int, dict]:
 
     verdict = next(iter(verdicts.values()))
     body["verdict"] = verdict
-    distribution = declarative_dist
-    if distribution is None and lp_result is not None and lp_result.feasible:
-        distribution = lp_result.distribution
-    if distribution is not None:
-        body["distribution"] = _distribution_rows(distribution, labeler)
-        body["verified"] = verify_reconstruction(system, distribution).ok
-    else:
+    witnesses = [declarative_dist] if declarative_dist is not None else []
+    if lp_result is not None and lp_result.feasible:
+        witnesses.append(lp_result.distribution)
+    if not witnesses:
         body["distribution"] = None
         body["verified"] = False
-    return (0 if verdict == REPRESENTABLE else 2), body
+        return 2, body
+    # Every witness is re-checked; one that fails is a construction mismatch.
+    body["distribution"] = _distribution_rows(witnesses[0], labeler)
+    body["verified"] = all(verify_reconstruction(system, w).ok for w in witnesses)
+    return (0 if body["verified"] else 1), body
 
 
 def _cmd_forward(args) -> tuple[int, dict]:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from .errors import (
     DuplicateCell,
@@ -28,6 +29,9 @@ from .errors import (
     OutOfRange,
     OutOfRangeProbability,
 )
+
+if TYPE_CHECKING:
+    from .measure import Construction
 
 SubsetLike = Union[int, Iterable[int]]
 
@@ -104,13 +108,6 @@ def iter_submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def iter_proper_submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask`` except ``mask`` itself."""
-    for sub in iter_submasks(mask):
-        if sub != mask:
-            yield sub
-
-
 def choice_subsets(n: int) -> Iterator[int]:
     """Masks of all subsets with at least two members, ascending popcount.
 
@@ -164,6 +161,13 @@ class BWSystem:
 
     def subsets(self) -> Iterator[int]:
         return choice_subsets(self.n)
+
+    @cached_property
+    def _construction(self) -> Construction:
+        """The witness :func:`bwrum.measure.build_construction` returns, built once."""
+        from .measure import _construct
+
+        return _construct(self)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ A :class:`Reduction` is the exact Gauss-Jordan reduction of A, with its
 row operations tracked so that any b is transformed in one
 matrix-vector pass; it is built once per A and shared by every b.  A
 solution then comes from one of three stages: the particular solution
-with every free coordinate zero, a phase-1 pivot inside the kernel of A
+with every free coordinate zero, a phase-1 pivot on the reduced rows
 when that particular solution has negative entries, or neither, when the
 equations are inconsistent or have no nonnegative point.
 """
@@ -18,7 +18,7 @@ equations are inconsistent or have no nonnegative point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .core import ONE, ZERO
@@ -80,11 +80,8 @@ class Reduction:
         self.trans = trans
         self.rank = rank
         self.pivots = pivots
-        pivot_cols = {c for _, c in pivots}
-        self.free_cols = [c for c in range(ncols) if c not in pivot_cols]
         self.ncols = ncols
         self.nrows = nrows
-        self._kernel: list[list[Fraction]] | None = None
 
     def solve(self, rhs: Sequence[Fraction]) -> list[Fraction] | None:
         """Particular solution with free coordinates zero, or None if inconsistent."""
@@ -98,18 +95,6 @@ class Reduction:
         for r, c in self.pivots:
             x[c] = transformed[r]
         return x
-
-    def kernel_basis(self) -> list[list[Fraction]]:
-        if self._kernel is None:
-            basis = []
-            for fc in self.free_cols:
-                vec = [ZERO] * self.ncols
-                vec[fc] = ONE
-                for r, c in self.pivots:
-                    vec[c] = -self.reduced[r][fc]
-                basis.append(vec)
-            self._kernel = basis
-        return self._kernel
 
 
 def nonnegative_solution(
@@ -126,7 +111,7 @@ def nonnegative_solution(
         return None, INCONSISTENT
     if all(v >= ZERO for v in particular):
         return particular, PARTICULAR
-    completed = _complete_nonnegative(particular, reduction.kernel_basis())
+    completed = _complete_nonnegative(reduction, particular)
     if completed is None:
         return None, NO_NONNEGATIVE_POINT
     return completed, KERNEL_COMPLETED
@@ -143,80 +128,52 @@ def _reduce_row(cells: list[int], den: int) -> tuple[list[int], int]:
     return [v // g for v in cells], den // g
 
 
-def _complete_nonnegative(
-    x: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]
-) -> list[Fraction] | None:
-    """Shift a solution inside the kernel until all coordinates are nonnegative.
+def _complete_nonnegative(reduction: Reduction, x: Sequence[Fraction]) -> list[Fraction] | None:
+    """Pivot from a particular solution to a nonnegative one, if any exists.
 
-    Searches for kernel coefficients t with x + sum_j t_j * basis_j >= 0
-    by an exact phase-1 pivot: rows already nonnegative start with their
-    surplus variable basic, artificials appear only on violated rows,
-    and Bland's rule (lowest eligible index, lowest basic index on
-    ratio ties) guarantees termination.  Each tableau row is held as
-    integers over one positive denominator, with the right-hand side as
-    the final entry, so the pivot loop runs on plain integers instead
-    of per-entry normalised rationals.  Returns None when no
-    nonnegative solution exists.
+    The reduced rows already form a basic tableau: each has a one in its
+    pivot column, zeros in every other pivot column, and the particular
+    solution's value there as its right-hand side.  Phase 1 starts on
+    them directly.  A row whose value is negative is negated and gets an
+    artificial variable, which is basic in it instead of the pivot
+    column; minimising the sum of the artificials reaches zero exactly
+    when a nonnegative solution exists, and Bland's rule (lowest
+    eligible index, lowest basic index on ratio ties) guarantees
+    termination.  An artificial never re-enters, so it is kept only as
+    its index in ``basic``, never as a column.  Each tableau row is held
+    as integers over one positive denominator, with the right-hand side
+    as the final entry, so the pivot loop runs on plain integers instead
+    of per-entry normalised rationals.  Returns None when no nonnegative
+    solution exists.
     """
-    count = len(x)
-    if all(v >= ZERO for v in x):
-        return list(x)
-    if not basis:
-        return None
-    d = len(basis)
-    art_start = 2 * d + count
-    n_art = sum(1 for v in x if v < ZERO)
-    ncols = art_start + n_art
-    rhs_col = ncols
+    rhs_col = reduction.ncols
     rows: list[list[int]] = []
     dens: list[int] = []
     basic: list[int] = []
-    next_art = art_start
-    for i in range(count):
-        zs = [basis[j][i] for j in range(d)]
-        den = 1
-        for z in zs:
-            if z:
-                den = den * z.denominator // gcd(den, z.denominator)
-        rhs = x[i] if x[i] >= ZERO else -x[i]
-        den = den * rhs.denominator // gcd(den, rhs.denominator)
-        row = [0] * (ncols + 1)
-        sign = 1 if x[i] >= ZERO else -1
-        for j, z in enumerate(zs):
-            if z:
-                scaled = z.numerator * (den // z.denominator)
-                row[j] = -sign * scaled
-                row[d + j] = sign * scaled
-        row[2 * d + i] = sign * den
-        if sign < 0:
-            row[next_art] = den
-            basic.append(next_art)
-            next_art += 1
-        else:
-            basic.append(2 * d + i)
-        row[rhs_col] = rhs.numerator * (den // rhs.denominator)
+    for r, c in reduction.pivots:
+        entries = reduction.reduced[r]
+        value = x[c]
+        den = lcm(value.denominator, *(v.denominator for v in entries))
+        sign = -1 if value < ZERO else 1
+        row = [sign * v.numerator * (den // v.denominator) for v in entries]
+        row.append(sign * value.numerator * (den // value.denominator))
+        basic.append(c if sign > 0 else rhs_col + len(rows))
         rows.append(row)
         dens.append(den)
+    count = len(rows)
 
-    # Reduced phase-1 objective over non-artificial columns, with the
+    # Reduced phase-1 objective: the sum of the artificial rows, with the
     # total infeasibility carried as the final entry.
-    obj_exact = [ZERO] * (art_start + 1)
-    for r in range(count):
-        if basic[r] >= art_start:
-            den = dens[r]
-            row = rows[r]
-            for c in range(art_start):
-                if row[c]:
-                    obj_exact[c] += Fraction(row[c], den)
-            obj_exact[art_start] += Fraction(row[rhs_col], den)
-    oden = 1
-    for v in obj_exact:
-        if v:
-            oden = oden * v.denominator // gcd(oden, v.denominator)
-    obj = [v.numerator * (oden // v.denominator) for v in obj_exact]
+    artificial = [r for r in range(count) if basic[r] >= rhs_col]
+    oden = lcm(*(dens[r] for r in artificial))
+    obj = [0] * (rhs_col + 1)
+    for r in artificial:
+        scale = oden // dens[r]
+        obj = [v + scale * w for v, w in zip(obj, rows[r])]
+    obj, oden = _reduce_row(obj, oden)
 
     while True:
-        enter = next((c for c in range(art_start) if obj[c] > 0), -1)
+        enter = next((c for c in range(rhs_col) if obj[c] > 0), -1)
         if enter < 0:
             break
         best_num = best_coef = 0
@@ -249,25 +206,16 @@ def _complete_nonnegative(
                 rows[r], dens[r] = _reduce_row(updated, dens[r] * pden)
         f = obj[enter]
         if f:
-            pslice = prow[:art_start]
-            pslice.append(prow[rhs_col])
-            updated = [v * pden - f * w for v, w in zip(obj, pslice)]
+            updated = [v * pden - f * w for v, w in zip(obj, prow)]
             obj, oden = _reduce_row(updated, oden * pden)
         basic[leave] = enter
 
-    if obj[art_start]:
+    if obj[rhs_col]:
         return None
-    shift = [ZERO] * d
+    result = [ZERO] * rhs_col
     for r in range(count):
-        var = basic[r]
-        if var < d:
-            shift[var] += Fraction(rows[r][rhs_col], dens[r])
-        elif var < 2 * d:
-            shift[var - d] -= Fraction(rows[r][rhs_col], dens[r])
-    result = [
-        x[i] + sum((basis[j][i] * shift[j] for j in range(d) if shift[j]), ZERO)
-        for i in range(count)
-    ]
+        if basic[r] < rhs_col:
+            result[basic[r]] = Fraction(rows[r][rhs_col], dens[r])
     if any(v < ZERO for v in result):
-        raise ConstructionInconsistent("kernel completion produced a negative mass")
+        raise ConstructionInconsistent("phase 1 produced a negative mass")
     return result

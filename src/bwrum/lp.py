@@ -13,7 +13,7 @@ command line reports is re-checked against it.
 The cell equations depend only on n and are reduced once per n.  The
 verdict's ``method`` is "presolve" when the reduction alone decides
 (inconsistent equations, or a nonnegative particular solution) and
-"phase1" when the kernel phase-1 pivot runs.
+"phase1" when the phase-1 pivot on the reduced rows runs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class LpResult:
     """Oracle verdict; ``distribution`` carries a feasible point when one exists.
 
     ``method`` records how the verdict was reached: "presolve" when the
-    reduction already decided, "phase1" when the kernel phase-1 pivot ran.
+    reduction already decided, "phase1" when the phase-1 pivot ran.
     """
 
     feasible: bool

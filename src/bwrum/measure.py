@@ -22,12 +22,11 @@ uniform system gets the uniform distribution.
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     ONE,
@@ -56,6 +55,10 @@ from .linear import INCONSISTENT, PARTICULAR, Reduction, nonnegative_solution, r
 from .polynomials import PolynomialTable, all_polynomials
 from .rankings import PatternDescriptor, Ranking, all_rankings, matches
 
+if TYPE_CHECKING:
+    from .simulate import RankingSampler
+
+
 @dataclass(frozen=True)
 class RankingDistribution:
     """Probability masses on full rankings; absent keys mean zero."""
@@ -71,6 +74,13 @@ class RankingDistribution:
 
     def total(self) -> Fraction:
         return sum(self.mass.values(), ZERO)
+
+    @functools.cached_property
+    def _sampler(self) -> RankingSampler:
+        """The exact sampler :func:`bwrum.simulate.sample_ranking` draws from, built once."""
+        from .simulate import RankingSampler
+
+        return RankingSampler(self)
 
 
 def make_distribution(n: int, mass: dict[Sequence[int], object]) -> RankingDistribution:
@@ -355,18 +365,13 @@ class Construction:
         return self.pattern_measure(key[0], key[1]) / (len(listed) - 1)
 
 
-_CONSTRUCTION_CACHE: OrderedDict[int, Construction] = OrderedDict()
-_CONSTRUCTION_CACHE_LIMIT = 8
-
-
 def build_construction(system: BWSystem) -> Construction:
-    """Construct (or fetch from cache) a witness for a representable system."""
-    key = id(system)
-    hit = _CONSTRUCTION_CACHE.get(key)
-    if hit is not None and hit.system is system:
-        _CONSTRUCTION_CACHE.move_to_end(key)
-        return hit
+    """A witness for a representable system, built on first request and kept on it."""
+    return system._construction
 
+
+def _construct(system: BWSystem) -> Construction:
+    """Sign test, declarative solve, then averaging over the stabiliser."""
     table = all_polynomials(system)
     negatives = [
         (a, b, mask, value) for a, b, mask, value in table.items_sorted() if value < ZERO
@@ -385,16 +390,12 @@ def build_construction(system: BWSystem) -> Construction:
     if len(group) > 1:
         masses = _symmetrised(masses, group)
 
-    built = Construction(
+    return Construction(
         system=system,
         distribution=RankingDistribution(n=system.n, mass=masses),
         mode=mode,
         table=table,
     )
-    _CONSTRUCTION_CACHE[key] = built
-    while len(_CONSTRUCTION_CACHE) > _CONSTRUCTION_CACHE_LIMIT:
-        _CONSTRUCTION_CACHE.popitem(last=False)
-    return built
 
 
 def build_distribution(system: BWSystem) -> RankingDistribution:

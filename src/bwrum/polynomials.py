@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import (
-    ONE,
     ZERO,
     BWSystem,
     SubsetLike,
@@ -27,7 +26,6 @@ from .core import (
     popcount,
 )
 from .errors import (
-    BwrumError,
     ConstructionInconsistent,
     InvalidContext,
     NotRepresentable,
@@ -89,15 +87,12 @@ class PolynomialTable:
             yield a, b, mask, self.values[(a, b, mask)]
 
 
-def all_polynomials(system: BWSystem, *, cross_check: bool = False) -> PolynomialTable:
+def all_polynomials(system: BWSystem) -> PolynomialTable:
     """Every polynomial value, via the subtraction recurrence.
 
     Contexts are visited by increasing size so each value is the stored
     probability of the context's complement minus all strictly smaller
-    values for the same pair.  With ``cross_check`` each value is also
-    recomputed by the direct alternating sum and any disagreement
-    raises, which is the cross-validation the two formulations owe each
-    other.
+    values for the same pair.
     """
     n = system.n
     base = full_mask(n)
@@ -113,11 +108,6 @@ def all_polynomials(system: BWSystem, *, cross_check: bool = False) -> Polynomia
                 for sub in iter_submasks(mask):
                     if sub != mask:
                         total -= values[(a, b, sub)]
-                if cross_check and total != bm_polynomial(system, a, b, mask):
-                    raise BwrumError(
-                        f"recurrence and direct sum disagree at pair ({a},{b}), "
-                        f"context {members(mask)}"
-                    )
                 values[(a, b, mask)] = total
     return PolynomialTable(n=n, values=values)
 

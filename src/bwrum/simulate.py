@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, lcm
 from typing import ClassVar, Sequence
 
-from .core import ChoiceCountDataset, SubsetLike, ZERO, as_mask, members, popcount
+from .core import ChoiceCountDataset, SubsetLike, as_mask, members, popcount
 from .errors import InvalidContext, OutOfRange
 from .measure import RankingDistribution
 from .rankings import Ranking, all_rankings
@@ -87,26 +86,9 @@ class RankingSampler:
         return self.ranking_at(rng.randrange(self.denominator))
 
 
-_SAMPLER_CACHE: OrderedDict[int, tuple[RankingDistribution, RankingSampler]] = OrderedDict()
-_SAMPLER_CACHE_LIMIT = 8
-
-
-def _sampler(dist: RankingDistribution) -> RankingSampler:
-    key = id(dist)
-    entry = _SAMPLER_CACHE.get(key)
-    if entry is not None and entry[0] is dist:
-        _SAMPLER_CACHE.move_to_end(key)
-        return entry[1]
-    sampler = RankingSampler(dist)
-    _SAMPLER_CACHE[key] = (dist, sampler)
-    while len(_SAMPLER_CACHE) > _SAMPLER_CACHE_LIMIT:
-        _SAMPLER_CACHE.popitem(last=False)
-    return sampler
-
-
 def sample_ranking(dist: RankingDistribution, rng: SeededRng) -> Ranking:
     """One ranking, drawn with probability exactly equal to its mass."""
-    return _sampler(dist).draw(rng)
+    return dist._sampler.draw(rng)
 
 
 def utilities_from_ranking(ranking: Sequence[int]) -> tuple[int, ...]:
@@ -127,15 +109,8 @@ def sample_best_worst(
     dist: RankingDistribution,
     B: SubsetLike,
     rng: SeededRng,
-    *,
-    verify: bool = False,
 ) -> tuple[int, int]:
-    """Draw a ranking and return the best and worst members of B under it.
-
-    With ``verify`` the draw is additionally checked against the
-    utility formulation: the returned pair (a, b) must satisfy
-    value(a) >= value(c) >= value(b) for every c in B.
-    """
+    """Draw a ranking and return the best and worst members of B under it."""
     mask = as_mask(B, dist.n)
     if popcount(mask) < 2:
         raise InvalidContext(f"subset {members(mask)} has fewer than two members")
@@ -146,12 +121,6 @@ def sample_best_worst(
             if best < 0:
                 best = x
             worst = x
-    if verify:
-        values = utilities_from_ranking(ranking)
-        assert all(
-            values[best] >= values[c] >= values[worst]
-            for c in members(mask)
-        ), f"utility event mismatch for {ranking} on {members(mask)}"
     return best, worst
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from bwrum import make_distribution, uniform_system
 from bwrum.cli import SCHEMA, main, run_command
+from bwrum.lp import LpResult
 from bwrum.io import (
     counts_from_payload,
     design_to_payload,
@@ -192,6 +193,18 @@ class TestConstruct:
             "declarative": "NotRepresentable",
             "lp": "NotRepresentable",
         }
+
+    @pytest.mark.parametrize("method", ["lp", "both"])
+    def test_wrong_witness_is_a_construction_mismatch(self, uniform4_file, monkeypatch, method):
+        wrong = make_distribution(4, {(0, 1, 2, 3): 1})
+        monkeypatch.setattr(
+            "bwrum.cli.lp_feasibility_oracle",
+            lambda system: LpResult(feasible=True, distribution=wrong, method="presolve"),
+        )
+        code, report = run_command(["construct", str(uniform4_file), "--method", method])
+        assert code == 1
+        assert report["verdict"] == "Representable"
+        assert report["verified"] is False
 
 
 class TestForward:

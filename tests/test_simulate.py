@@ -103,7 +103,10 @@ class TestSampleBestWorst:
         rng = SeededRng(0)
         assert sample_best_worst(dist, {0, 1, 2}, rng) == (2, 1)
         assert sample_best_worst(dist, {0, 1}, rng) == (0, 1)
-        assert sample_best_worst(dist, {1, 2}, rng, verify=True) == (2, 1)
+        best, worst = sample_best_worst(dist, {1, 2}, rng)
+        assert (best, worst) == (2, 1)
+        values = utilities_from_ranking((2, 0, 1))
+        assert all(values[best] >= values[c] >= values[worst] for c in (1, 2))
 
     def test_subset_needs_two_members(self):
         dist = make_distribution(2, {(0, 1): 1})

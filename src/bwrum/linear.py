@@ -1,10 +1,10 @@
 """Exact nonnegative solutions of linear equations with 0/1 coefficients.
 
-Both routes to a representability verdict end in the same question: is
+Witness construction and the feasibility oracle end in one question: is
 there an x >= 0 with Ax = b, where A has 0/1 entries and depends only
 on the number of alternatives, while b changes with every system?  This
-module answers it once for both.  It knows nothing of rankings or cells;
-callers build the rows and the right-hand sides.
+module answers it.  It knows nothing of rankings or cells; the caller
+builds the rows and the right-hand sides.
 
 A :class:`Reduction` is the exact Gauss-Jordan reduction of A, with its
 row operations tracked so that any b is transformed in one
@@ -29,7 +29,7 @@ LP_MAX_N = 6
 # Stages reported by nonnegative_solution.
 INCONSISTENT = "inconsistent"
 PARTICULAR = "particular"
-KERNEL_COMPLETED = "kernel-completed"
+PHASE_ONE = "phase 1"
 NO_NONNEGATIVE_POINT = "no nonnegative point"
 
 
@@ -103,8 +103,8 @@ def nonnegative_solution(
     """A solution x >= 0 of the reduced equations for ``rhs``, or None.
 
     Also returns the stage that decided: ``INCONSISTENT`` or
-    ``NO_NONNEGATIVE_POINT`` with None, ``PARTICULAR`` or
-    ``KERNEL_COMPLETED`` with a solution.
+    ``NO_NONNEGATIVE_POINT`` with None, ``PARTICULAR`` or ``PHASE_ONE``
+    with a solution.
     """
     particular = reduction.solve(rhs)
     if particular is None:
@@ -114,7 +114,7 @@ def nonnegative_solution(
     completed = _complete_nonnegative(reduction, particular)
     if completed is None:
         return None, NO_NONNEGATIVE_POINT
-    return completed, KERNEL_COMPLETED
+    return completed, PHASE_ONE
 
 
 def _reduce_row(cells: list[int], den: int) -> tuple[list[int], int]:

@@ -8,11 +8,20 @@ the induced cells from any distribution (the forward oracle used as
 ground truth everywhere), and re-checks constructed witnesses cell by
 cell.
 
-A witness is a nonnegative solution of the sandwich equations: one per
-(best, worst, outside-set) sandwich event, whose measure must equal the
-corresponding polynomial value, plus total mass one.  Their 0/1 rows
+A witness is a nonnegative solution of the cell equations: one per
+(subset, best, worst) cell, whose 0/1 coefficients mark the rankings
+that put that pair first and last within the subset and whose
+right-hand side is the cell itself, plus total mass one.  Their rows
 depend only on n and are reduced once per n; :mod:`bwrum.linear` solves
-them for each system.  Finally the masses are averaged over the system's permutation
+them for each system, and the feasibility verdict of :mod:`bwrum.lp`
+comes from the same solve.  The polynomial table is the Moebius inverse
+of the cells, so it only pre-screens by its signs: equations with the
+polynomial values on the right-hand side would be these same equations
+after a unitriangular change of rows.  What stays independent of the
+solver is the forward oracle, which scans the rankings on its own and
+re-checks every witness.
+
+Finally the masses are averaged over the system's permutation
 stabiliser, the relabellings of 0..n-1 that leave every cell unchanged.
 Each relabelled witness reproduces the system as well, so the average
 is still a witness, and it inherits every symmetry of the input: the
@@ -36,7 +45,6 @@ from .core import (
     as_mask,
     choice_subsets,
     full_mask,
-    iter_submasks,
     members,
     new_system,
     ordered_pairs,
@@ -186,87 +194,47 @@ def verify_reconstruction(system: BWSystem, dist: RankingDistribution) -> Verifi
 
 
 # ---------------------------------------------------------------------------
-# Declarative construction: the sandwich equations, reduced once per n
+# Construction: the cell equations, reduced once per n
 
 
-def _sandwich_member(pos: Sequence[int], n: int, x: int, y: int, outside: int) -> bool:
-    """Is the ranking (given by positions) in the sandwich event (x, y, outside)?
-
-    The event: x precedes y, every member of ``outside`` sits before x
-    or after y, and everything else sits strictly between them.  Its
-    measure under a witness must equal the polynomial value for
-    (x, y, outside).
-    """
-    px, py = pos[x], pos[y]
-    if px > py:
-        return False
-    for z in range(n):
-        if z == x or z == y:
-            continue
-        inside = px < pos[z] < py
-        if (outside >> z) & 1:
-            if inside:
-                return False
-        elif not inside:
-            return False
-    return True
-
-
-def _equation_tags(n: int) -> list[tuple]:
-    tags: list[tuple] = []
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            rest = full_mask(n) & ~(1 << x) & ~(1 << y)
-            for outside in sorted(iter_submasks(rest), key=lambda s: (popcount(s), s)):
-                tags.append(("cell", x, y, outside))
-    tags.append(("total",))
-    return tags
+def _cell_rows(n: int) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+    """The cells in equation order, and one 0/1 row per cell plus the total."""
+    rankings = all_rankings(n)
+    cell_order: list[tuple[int, int, int]] = []
+    rows: list[list[int]] = []
+    for mask in choice_subsets(n):
+        per_ranking = []
+        for ranking in rankings:
+            best = worst = -1
+            for x in ranking:
+                if (mask >> x) & 1:
+                    if best < 0:
+                        best = x
+                    worst = x
+            per_ranking.append((best, worst))
+        for a, b in ordered_pairs(mask):
+            cell_order.append((mask, a, b))
+            rows.append([int(pair == (a, b)) for pair in per_ranking])
+    rows.append([1] * len(rankings))
+    return cell_order, rows
 
 
 @functools.cache
-def _sandwich_reduction(n: int) -> tuple[list[tuple], Reduction]:
-    """The equation tags for n and the reduction of their 0/1 rows."""
+def _cell_reduction(n: int) -> tuple[list[tuple[int, int, int]], Reduction]:
     require_size(n)
-    tags = _equation_tags(n)
-    positions = []
-    for ranking in all_rankings(n):
-        pos = [0] * n
-        for i, x in enumerate(ranking):
-            pos[x] = i
-        positions.append(pos)
-    rows = [
-        [int(_sandwich_member(pos, n, *tag[1:])) for pos in positions]
-        if tag[0] == "cell"
-        else [1] * len(positions)
-        for tag in tags
-    ]
-    return tags, Reduction(rows)
+    cell_order, rows = _cell_rows(n)
+    return cell_order, Reduction(rows)
 
 
-def _declarative_masses(
-    system: BWSystem, table: PolynomialTable
-) -> tuple[dict[Ranking, Fraction], str]:
-    tags, reduction = _sandwich_reduction(system.n)
-    rhs = [table.values[tag[1:]] if tag[0] == "cell" else ONE for tag in tags]
+def _solve_cells(system: BWSystem) -> tuple[dict[Ranking, Fraction] | None, str]:
+    """Nonnegative ranking masses reproducing every cell, or None, and the deciding stage."""
+    cell_order, reduction = _cell_reduction(system.n)
+    rhs = [system.prob(mask, a, b) for mask, a, b in cell_order]
+    rhs.append(ONE)
     values, stage = nonnegative_solution(reduction, rhs)
-    if stage == INCONSISTENT:
-        raise ConstructionInconsistent(
-            "the witness equations for this system are inconsistent; "
-            "no ranking distribution reproduces every cell"
-        )
     if values is None:
-        raise ConstructionInconsistent(
-            "the witness equations admit solutions, but none with all masses nonnegative"
-        )
-    mode = "exact-solve" if stage == PARTICULAR else "kernel-completed"
-    masses = {
-        ranking: value
-        for ranking, value in zip(all_rankings(system.n), values)
-        if value
-    }
-    return masses, mode
+        return None, stage
+    return {r: v for r, v in zip(all_rankings(system.n), values) if v}, stage
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +339,7 @@ def build_construction(system: BWSystem) -> Construction:
 
 
 def _construct(system: BWSystem) -> Construction:
-    """Sign test, declarative solve, then averaging over the stabiliser."""
+    """Sign test, one solve of the cell equations, then averaging over the stabiliser."""
     table = all_polynomials(system)
     negatives = [
         (a, b, mask, value) for a, b, mask, value in table.items_sorted() if value < ZERO
@@ -385,7 +353,17 @@ def _construct(system: BWSystem) -> Construction:
             f"pair ({a}, {b}), context {members(mask)}: {value}"
         )
 
-    masses, mode = _declarative_masses(system, table)
+    masses, stage = _solve_cells(system)
+    if stage == INCONSISTENT:
+        raise ConstructionInconsistent(
+            "the witness equations for this system are inconsistent; "
+            "no ranking distribution reproduces every cell"
+        )
+    if masses is None:
+        raise ConstructionInconsistent(
+            "the witness equations admit solutions, but none with all masses nonnegative"
+        )
+    mode = "exact-solve" if stage == PARTICULAR else "kernel-completed"
     group = _stabiliser(system)
     if len(group) > 1:
         masses = _symmetrised(masses, group)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from bwrum.linear import (
     INCONSISTENT,
-    KERNEL_COMPLETED,
     NO_NONNEGATIVE_POINT,
     PARTICULAR,
+    PHASE_ONE,
     Reduction,
     nonnegative_solution,
 )
@@ -96,7 +96,7 @@ class TestNonnegativeSolution:
         if x is None:
             assert stage in (INCONSISTENT, NO_NONNEGATIVE_POINT)
         else:
-            assert stage in (PARTICULAR, KERNEL_COMPLETED)
+            assert stage in (PARTICULAR, PHASE_ONE)
             assert all(v >= 0 for v in x)
             assert _times(rows, x) == rhs
 
@@ -113,5 +113,5 @@ class TestNonnegativeSolution:
         # optimum is reached with it still in the basis.
         rows = [[1, 1, 0], [1, 0, 1]]
         x, stage = nonnegative_solution(Reduction(rows), [Fraction(0), Fraction(1)])
-        assert stage == KERNEL_COMPLETED
+        assert stage == PHASE_ONE
         assert x == [0, 0, 1]

@@ -1,9 +1,15 @@
-"""The independent feasibility oracle and its agreement with construction."""
+"""The feasibility oracle: its verdicts, and one elimination shared with construction.
+
+The oracle and witness construction solve the same cell equations, so
+their agreement is checked where it can fail: every witness is also
+re-checked by the forward oracle, which shares no code with the solver.
+"""
 
 from fractions import Fraction
 
 import pytest
 
+from bwrum import measure
 from bwrum import (
     ConstructionInconsistent,
     DimensionTooLarge,
@@ -87,6 +93,23 @@ class TestAgreementWithConstruction:
         for n, seed in ((3, 31), (4, 32), (4, 33)):
             _, system = random_induced(n, seed)
             assert lp_feasibility_oracle(system).feasible
+
+
+class TestOneElimination:
+    def test_construction_and_oracle_share_one_reduction(self, monkeypatch):
+        built = []
+
+        class CountingReduction(measure.Reduction):
+            def __init__(self, rows):
+                built.append(len(rows))
+                super().__init__(rows)
+
+        measure._cell_reduction.cache_clear()
+        monkeypatch.setattr(measure, "Reduction", CountingReduction)
+        system = uniform_system(4)
+        assert verify_reconstruction(system, build_distribution(system)).ok
+        assert lp_feasibility_oracle(system).feasible
+        assert len(built) == 1
 
 
 def signed_mass_system(seed: int):

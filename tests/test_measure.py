@@ -34,6 +34,7 @@ from bwrum import (
 from bwrum.core import choice_subsets, full_mask, ordered_pairs
 
 from conftest import random_induced
+from test_lp import signed_mass_system
 from test_polynomials import negative_pair_system, skewed_pair_system
 
 
@@ -143,8 +144,17 @@ class TestDeclarativeConstruction:
             build_distribution(negative_pair_system())
 
     def test_inconsistent_equations_raise(self):
-        with pytest.raises(ConstructionInconsistent):
+        with pytest.raises(ConstructionInconsistent, match="inconsistent"):
             build_distribution(skewed_pair_system())
+
+    def test_consistent_equations_without_a_nonnegative_point_raise(self):
+        # Signed-mass seed 18 passes the sign test and every linear
+        # identity, and phase 1 finds no nonnegative point.
+        _, system = signed_mass_system(18)
+        with pytest.raises(
+            ConstructionInconsistent, match="none with all masses nonnegative"
+        ):
+            build_distribution(system)
 
     def test_construction_is_cached_per_system(self):
         system = uniform_system(3)

@@ -14,7 +14,6 @@ dictionary keys cheap and comparisons exact.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -159,9 +158,6 @@ class BWSystem:
                 f"no cell for subset {members(mask)}, best={best}, worst={worst}"
             ) from None
 
-    def subsets(self) -> Iterator[int]:
-        return choice_subsets(self.n)
-
     @cached_property
     def _construction(self) -> Construction:
         """The witness :func:`bwrum.measure.build_construction` returns, built once."""
@@ -188,27 +184,15 @@ class ValidationReport:
         return not self.sum_violations and not self.range_violations
 
 
-def _check_size(n: int, allow_large: bool) -> None:
+def _check_size(n: int) -> None:
     if n < 2:
         raise InconsistentDimensions(f"a base set needs at least 2 alternatives, got {n}")
     if n > DEFAULT_MAX_N:
-        if not allow_large:
-            raise OutOfRange(
-                f"base set of size {n} exceeds the default cap of {DEFAULT_MAX_N}; "
-                "pass allow_large=True to proceed anyway"
-            )
-        warnings.warn(
-            f"base set of size {n} exceeds {DEFAULT_MAX_N}; exact enumeration over "
-            "all subsets will be slow and memory-hungry",
-            stacklevel=3,
-        )
+        raise OutOfRange(f"base set of size {n} exceeds the cap of {DEFAULT_MAX_N}")
 
 
 def assemble_system(
-    n: int,
-    entries: Iterable[tuple[SubsetLike, tuple[int, int], object]],
-    *,
-    allow_large: bool = False,
+    n: int, entries: Iterable[tuple[SubsetLike, tuple[int, int], object]]
 ) -> BWSystem:
     """Build a system checking structure only, not probability values.
 
@@ -216,7 +200,7 @@ def assemble_system(
     normalization are not, so the result may fail :func:`validate`.
     This is the entry point for auditing suspect data.
     """
-    _check_size(n, allow_large)
+    _check_size(n)
     cells: dict[tuple[int, int, int], Fraction] = {}
     for subset, pair, raw in entries:
         mask = as_mask(subset, n)
@@ -249,10 +233,7 @@ def assemble_system(
 
 
 def new_system(
-    n: int,
-    entries: Iterable[tuple[SubsetLike, tuple[int, int], object]],
-    *,
-    allow_large: bool = False,
+    n: int, entries: Iterable[tuple[SubsetLike, tuple[int, int], object]]
 ) -> BWSystem:
     """Build and fully validate a system from explicit cell entries.
 
@@ -261,7 +242,7 @@ def new_system(
     exactly.  Raises if any required cell is missing or duplicated, any
     probability leaves [0, 1], or any subset's cells do not sum to one.
     """
-    system = assemble_system(n, entries, allow_large=allow_large)
+    system = assemble_system(n, entries)
     report = validate(system)
     if report.range_violations:
         mask, a, b, p = report.range_violations[0]
@@ -352,12 +333,7 @@ class IngestResult:
     unobserved_subsets: tuple[int, ...] = field(default_factory=tuple)
 
 
-def from_counts(
-    dataset: ChoiceCountDataset,
-    smoothing: object = 0,
-    *,
-    allow_large: bool = False,
-) -> IngestResult:
+def from_counts(dataset: ChoiceCountDataset, smoothing: object = 0) -> IngestResult:
     """Estimate a system from counts with additive smoothing.
 
     Each observed subset's cell becomes (count + s) / (total + s * m)
@@ -371,7 +347,7 @@ def from_counts(
     if s < ZERO:
         raise OutOfRange(f"smoothing must be nonnegative, got {s}")
     n = dataset.n
-    _check_size(n, allow_large)
+    _check_size(n)
 
     grouped: dict[int, dict[tuple[int, int], int]] = {}
     for mask, best, worst, count in dataset.records:
@@ -399,7 +375,7 @@ def from_counts(
         for a, b in ordered_pairs(mask):
             entries.append((mask, (a, b), Fraction(counts.get((a, b), 0) + s) / denom))
 
-    system = new_system(n, entries, allow_large=allow_large)
+    system = new_system(n, entries)
     return IngestResult(system=system, unobserved_subsets=tuple(unobserved))
 
 

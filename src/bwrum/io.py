@@ -76,7 +76,7 @@ class Labeler:
         if isinstance(token, str):
             if self.labels is not None and token in self.labels:
                 return self.labels.index(token)
-            if token.isdigit() and 0 <= int(token) < self.n:
+            if token.isdecimal() and 0 <= int(token) < self.n:
                 return int(token)
         raise InputFileError(f"unknown alternative {token!r}")
 

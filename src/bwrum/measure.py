@@ -60,7 +60,7 @@ from .errors import (
     OutOfRangeProbability,
 )
 from .linear import INCONSISTENT, PARTICULAR, Reduction, nonnegative_solution, require_size
-from .polynomials import PolynomialTable, all_polynomials
+from .polynomials import PolynomialTable, _check_context, _most_negative, all_polynomials
 from .rankings import PatternDescriptor, Ranking, all_rankings, matches
 
 if TYPE_CHECKING:
@@ -129,7 +129,8 @@ def bw_from_distribution(dist: RankingDistribution, B: SubsetLike, a: int, b: in
     mask = as_mask(B, dist.n)
     if popcount(mask) < 2:
         raise InvalidContext(f"subset {members(mask)} has fewer than two members")
-    if a == b or not ((mask >> a) & 1 and (mask >> b) & 1):
+    inside = all(0 <= x < dist.n and (mask >> x) & 1 for x in (a, b))
+    if a == b or not inside:
         raise InvalidContext(f"({a}, {b}) is not an ordered pair inside {members(mask)}")
     descriptor = PatternDescriptor(prefix=(a,), ground=mask, suffix=(b,))
     return sum(
@@ -286,8 +287,7 @@ class Construction:
     """A constructed witness for one system.
 
     Exposes the distribution, how it was solved (``mode``), pattern
-    measures under it, and the share values.  Pattern measures
-    are memoized because audits revisit the same descriptors.
+    measures under it, and the share values.
     """
 
     def __init__(
@@ -301,21 +301,14 @@ class Construction:
         self.distribution = distribution
         self.mode = mode
         self.table = table
-        self._measures: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
 
     def pattern_measure(self, prefix: Sequence[int], suffix: Sequence[int]) -> Fraction:
         """Total mass of the full-ground pattern S(prefix; A; suffix)."""
-        key = (tuple(prefix), tuple(suffix))
-        cached = self._measures.get(key)
-        if cached is not None:
-            return cached
-        descriptor = PatternDescriptor(key[0], full_mask(self.system.n), key[1])
-        value = sum(
+        descriptor = PatternDescriptor(tuple(prefix), full_mask(self.system.n), tuple(suffix))
+        return sum(
             (p for ranking, p in self.distribution.mass.items() if matches(descriptor, ranking)),
             ZERO,
         )
-        self._measures[key] = value
-        return value
 
     def f_prime(self, prefix: Sequence[int], suffix: Sequence[int]) -> Fraction:
         """Share value of a pattern: its measure divided by (listed count - 1)."""
@@ -345,9 +338,7 @@ def _construct(system: BWSystem) -> Construction:
         (a, b, mask, value) for a, b, mask, value in table.items_sorted() if value < ZERO
     ]
     if negatives:
-        a, b, mask, value = min(
-            negatives, key=lambda e: (e[3], e[0], e[1], members(e[2]))
-        )
+        a, b, mask, value = _most_negative(negatives)
         raise NotRepresentable(
             f"{len(negatives)} polynomial value(s) are negative; most negative is "
             f"pair ({a}, {b}), context {members(mask)}: {value}"
@@ -410,10 +401,7 @@ def lemma_b_check(
     the same way, with k = |B| + 2.
     """
     mask = as_mask(B, system.n)
-    if a == b or (mask >> a) & 1 or (mask >> b) & 1:
-        raise InvalidContext(
-            f"the pair ({a}, {b}) must be distinct and disjoint from {members(mask)}"
-        )
+    _check_context(system.n, a, b, mask)
     built = build_construction(system)
     n = system.n
     k = popcount(mask) + 2

@@ -164,6 +164,13 @@ def falmagne_inequality(
     return total
 
 
+def _most_negative(
+    negatives: Sequence[tuple[int, int, int, Fraction]],
+) -> tuple[int, int, int, Fraction]:
+    """The smallest value; ties broken by (best, worst, context members)."""
+    return min(negatives, key=lambda entry: (entry[3], entry[0], entry[1], members(entry[2])))
+
+
 @dataclass(frozen=True)
 class RepresentabilityReport:
     """Verdict of the sign test plus optional witness distribution.
@@ -189,9 +196,7 @@ class RepresentabilityReport:
         """The worst certificate; ties broken by (best, worst, context members)."""
         if not self.negatives:
             return None
-        return min(
-            self.negatives, key=lambda entry: (entry[3], entry[0], entry[1], members(entry[2]))
-        )
+        return _most_negative(self.negatives)
 
 
 def check_representable(

@@ -91,21 +91,13 @@ def matches(descriptor: PatternDescriptor, ranking: Sequence[int]) -> bool:
     return all(lo < pos[x] < hi for x in unlisted)
 
 
-_ENUM_CACHE: dict[tuple[PatternDescriptor, int], frozenset[Ranking]] = {}
-
-
 def enumerate_pattern(descriptor: PatternDescriptor, n: int) -> frozenset[Ranking]:
     """All rankings matching the descriptor.
 
     Built constructively: permute the unlisted ground elements between
     the chains, then interleave the unconstrained elements into every
-    gap.  Results are memoized per (descriptor, n); concurrent callers
-    may race but compute identical values, so last-writer-wins is safe.
+    gap.
     """
-    key = (descriptor, n)
-    cached = _ENUM_CACHE.get(key)
-    if cached is not None:
-        return cached
     _check_descriptor(descriptor, n)
     listed = set(descriptor.listed)
     unlisted = [x for x in members(descriptor.ground) if x not in listed]
@@ -119,9 +111,7 @@ def enumerate_pattern(descriptor: PatternDescriptor, n: int) -> frozenset[Rankin
                 seq[:i] + (x,) + seq[i:] for seq in skeletons for i in range(len(seq) + 1)
             ]
         out.update(skeletons)
-    result = frozenset(out)
-    _ENUM_CACHE[key] = result
-    return result
+    return frozenset(out)
 
 
 def count_pattern(n: int, m: int, k: int) -> int:

@@ -318,8 +318,16 @@ class TestDemo:
     def test_round_trip_flag_gates_the_exit_code(self):
         code, report = run_command(["demo", "--n", "3", "--seed", "123"])
         assert report["round_trip"] is (code == 0)
-        assert report["oracles_agree"] is True
         assert report["witness_verified"] is True
+
+    def test_size_is_refused_before_any_distribution_is_drawn(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("random_distribution was called")
+
+        monkeypatch.setattr("bwrum.cli.random_distribution", never)
+        code, report = run_command(["demo", "--n", "7"])
+        assert code == 1
+        assert report["error"]["type"] == "DimensionTooLarge"
 
 
 class TestFixtureCommand:

@@ -71,6 +71,8 @@ class TestLabeler:
             labeler.resolve(3)
         with pytest.raises(InputFileError):
             labeler.resolve(True)
+        with pytest.raises(InputFileError):
+            labeler.resolve("²")
 
 
 class TestSystemPayloads:

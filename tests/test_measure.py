@@ -86,6 +86,8 @@ class TestForwardOracle:
             bw_from_distribution(dist, {0, 1}, 0, 2)
         with pytest.raises(InvalidContext):
             bw_from_distribution(dist, {0, 1}, 1, 1)
+        with pytest.raises(InvalidContext):
+            bw_from_distribution(dist, {0, 1}, -1, 0)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32), n=st.integers(2, 4))
@@ -247,4 +249,6 @@ class TestDensityIdentity:
             lemma_b_check(uniform_system(4), 0, 1, {1, 2})
         with pytest.raises(InvalidContext):
             lemma_b_check(uniform_system(4), 0, 0, {2})
+        with pytest.raises(InvalidContext):
+            lemma_b_check(uniform_system(4), -1, 0, ())
 

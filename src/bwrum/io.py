@@ -53,13 +53,18 @@ def parse_fraction(value: Any) -> Fraction:
 class Labeler:
     """Maps between integer alternative ids and display labels."""
 
-    def __init__(self, n: int, labels: Sequence[str] | None):
+    def __init__(self, n: int, labels: list[str] | None):
         if labels is not None:
-            labels = list(labels)
-            if len(labels) != n or len(set(labels)) != n:
+            if (
+                not isinstance(labels, list)
+                or not all(isinstance(label, str) for label in labels)
+                or len(labels) != n
+                or len(set(labels)) != n
+            ):
                 raise InputFileError(
-                    f"labels must be {n} distinct names, got {labels!r}"
+                    f"labels must be a list of {n} distinct names, got {labels!r}"
                 )
+            labels = list(labels)
         self.n = n
         self.labels = labels
 
@@ -121,10 +126,19 @@ def argument_digest(parts: Sequence[str]) -> str:
     return hashlib.sha256(joined).hexdigest()
 
 
-def _require(payload: dict, key: str, context: str) -> Any:
+def _require(payload: Any, key: str, context: str) -> Any:
+    if not isinstance(payload, dict):
+        raise InputFileError(f"{context} must be a JSON object, got {payload!r}")
     if key not in payload:
         raise InputFileError(f"{context} is missing the {key!r} field")
     return payload[key]
+
+
+def _require_list(payload: Any, key: str, context: str) -> list:
+    value = _require(payload, key, context)
+    if not isinstance(value, list):
+        raise InputFileError(f"the {key!r} field of a {context} must be an array, got {value!r}")
+    return value
 
 
 def _read_n(payload: dict, context: str) -> int:
@@ -138,7 +152,7 @@ def _read_n(payload: dict, context: str) -> int:
 # Systems
 
 
-def system_to_payload(system: BWSystem, labels: Sequence[str] | None = None) -> dict:
+def system_to_payload(system: BWSystem, labels: list[str] | None = None) -> dict:
     labeler = Labeler(system.n, labels)
     subsets = []
     for mask in choice_subsets(system.n):
@@ -170,9 +184,9 @@ def system_from_payload(
     n = _read_n(payload, "system file")
     labeler = Labeler(n, payload.get("labels"))
     entries = []
-    for subset in _require(payload, "subsets", "system file"):
-        mask = as_mask(labeler.resolve_all(_require(subset, "members", "subset entry")), n)
-        for cell in _require(subset, "probs", "subset entry"):
+    for subset in _require_list(payload, "subsets", "system file"):
+        mask = as_mask(labeler.resolve_all(_require_list(subset, "members", "subset entry")), n)
+        for cell in _require_list(subset, "probs", "subset entry"):
             a = labeler.resolve(_require(cell, "best", "probability cell"))
             b = labeler.resolve(_require(cell, "worst", "probability cell"))
             entries.append((mask, (a, b), parse_fraction(_require(cell, "p", "probability cell"))))
@@ -191,7 +205,7 @@ def system_from_payload(
 
 
 def counts_to_payload(
-    dataset: ChoiceCountDataset, labels: Sequence[str] | None = None
+    dataset: ChoiceCountDataset, labels: list[str] | None = None
 ) -> dict:
     labeler = Labeler(dataset.n, labels)
     records = [
@@ -214,8 +228,8 @@ def counts_from_payload(payload: dict) -> tuple[ChoiceCountDataset, list[str] | 
     n = _read_n(payload, "count file")
     labeler = Labeler(n, payload.get("labels"))
     rows = []
-    for record in _require(payload, "records", "count file"):
-        mask = as_mask(labeler.resolve_all(_require(record, "members", "count record")), n)
+    for record in _require_list(payload, "records", "count file"):
+        mask = as_mask(labeler.resolve_all(_require_list(record, "members", "count record")), n)
         a = labeler.resolve(_require(record, "best", "count record"))
         b = labeler.resolve(_require(record, "worst", "count record"))
         count = _require(record, "count", "count record")
@@ -234,7 +248,7 @@ def counts_from_payload(payload: dict) -> tuple[ChoiceCountDataset, list[str] | 
 
 
 def distribution_to_payload(
-    dist: RankingDistribution, labels: Sequence[str] | None = None
+    dist: RankingDistribution, labels: list[str] | None = None
 ) -> dict:
     labeler = Labeler(dist.n, labels)
     rows = [
@@ -252,8 +266,8 @@ def distribution_from_payload(payload: dict) -> tuple[RankingDistribution, list[
     n = _read_n(payload, "distribution file")
     labeler = Labeler(n, payload.get("labels"))
     masses: dict[tuple[int, ...], Fraction] = {}
-    for row in _require(payload, "distribution", "distribution file"):
-        ranking = tuple(labeler.resolve_all(_require(row, "ranking", "distribution row")))
+    for row in _require_list(payload, "distribution", "distribution file"):
+        ranking = tuple(labeler.resolve_all(_require_list(row, "ranking", "distribution row")))
         mass = parse_fraction(_require(row, "mass", "distribution row"))
         masses[ranking] = masses.get(ranking, Fraction(0)) + mass
     try:
@@ -268,12 +282,12 @@ def distribution_from_payload(payload: dict) -> tuple[RankingDistribution, list[
 
 
 def design_from_payload(
-    payload: dict, n: int, labels: Sequence[str] | None
+    payload: dict, n: int, labels: list[str] | None
 ) -> list[tuple[int, int]]:
     labeler = Labeler(n, labels)
     design = []
-    for row in _require(payload, "design", "design file"):
-        mask = as_mask(labeler.resolve_all(_require(row, "members", "design row")), n)
+    for row in _require_list(payload, "design", "design file"):
+        mask = as_mask(labeler.resolve_all(_require_list(row, "members", "design row")), n)
         trials = _require(row, "trials", "design row")
         if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
             raise InputFileError(f"trials must be a nonnegative integer, got {trials!r}")
@@ -282,7 +296,7 @@ def design_from_payload(
 
 
 def design_to_payload(
-    design: Sequence[tuple[SubsetLike, int]], n: int, labels: Sequence[str] | None = None
+    design: Sequence[tuple[SubsetLike, int]], n: int, labels: list[str] | None = None
 ) -> dict:
     labeler = Labeler(n, labels)
     rows = [

@@ -82,6 +82,13 @@ class TestValidate:
         assert report["valid"] is False
         assert report["sum_violations"][0]["deviation"] == "1/3"
 
+    def test_wrongly_typed_field_is_an_input_error(self, tmp_path):
+        path = tmp_path / "typed.json"
+        dump_json({"n": 2, "subsets": 5}, path)
+        code, report = run_command(["validate", str(path)])
+        assert code == 65
+        assert report["error"]["type"] == "InputFileError"
+
 
 class TestIngest:
     def test_counts_become_a_system(self, tmp_path):
@@ -266,6 +273,15 @@ class TestPattern:
             ["pattern", "--n", "3", "--ground", "0,1", "--count", "--list"]
         )
         assert code == 64
+
+    def test_size_is_refused_before_any_ranking_is_listed(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerate_pattern was called")
+
+        monkeypatch.setattr("bwrum.cli.enumerate_pattern", never)
+        code, report = run_command(["pattern", "--n", "10", "--ground", ""])
+        assert code == 64
+        assert report["error"]["type"] == "UsageError"
 
 
 class TestSimulate:

@@ -106,7 +106,7 @@ class TestNewSystem:
         with pytest.raises(InconsistentDimensions):
             new_system(1, [])
 
-    def test_size_cap_needs_opt_in(self):
+    def test_size_cap_is_enforced(self):
         with pytest.raises(OutOfRange):
             new_system(11, [])
 

@@ -114,6 +114,17 @@ class TestSystemPayloads:
             system_from_payload({"n": 3})
         with pytest.raises(InputFileError):
             system_from_payload({"n": 1, "subsets": []})
+        # Fields of the wrong JSON type are reported, not crashed on.
+        for payload in (
+            {"n": 2, "subsets": 5},
+            {"n": 2, "subsets": [5]},
+            {"n": 2, "subsets": [{"members": "01", "probs": []}]},
+            {"n": 2, "subsets": [{"members": [0, 1], "probs": 5}]},
+            {"n": 2, "labels": 5, "subsets": []},
+            {"n": 2, "labels": "ab", "subsets": []},
+        ):
+            with pytest.raises(InputFileError):
+                system_from_payload(payload)
 
     def test_incomplete_cell_set_is_an_input_error(self):
         payload = system_to_payload(uniform_system(3))
@@ -139,6 +150,18 @@ class TestCountPayloads:
         }
         with pytest.raises(InputFileError):
             counts_from_payload(payload)
+
+    def test_wrongly_typed_fields_are_input_errors(self):
+        record = {"members": [0, 1], "best": 0, "worst": 1, "count": 4}
+        for payload in (
+            {"n": 2, "records": 5},
+            {"n": 2, "records": [5]},
+            {"n": 2, "records": [dict(record, members="01")]},
+            {"n": 2, "labels": "ab", "records": [record]},
+            {"n": 2, "labels": ["a", 1], "records": [record]},
+        ):
+            with pytest.raises(InputFileError):
+                counts_from_payload(payload)
 
 
 class TestDistributionPayloads:

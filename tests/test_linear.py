@@ -3,9 +3,11 @@
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bwrum import measure
 from bwrum.linear import (
     INCONSISTENT,
     NO_NONNEGATIVE_POINT,
@@ -60,6 +62,40 @@ def _brute_force_feasible(rows, rhs):
     return False
 
 
+def _reference_reduction(rows):
+    """Fraction Gauss-Jordan: the reduced rows (zero rows last) and the pivots."""
+    table = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(table[0])):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(table)) if table[r][col]), None)
+        if pivot is None:
+            continue
+        table[rank], table[pivot] = table[pivot], table[rank]
+        table[rank] = [v / table[rank][col] for v in table[rank]]
+        for r in range(len(table)):
+            if r != rank and table[r][col]:
+                f = table[r][col]
+                table[r] = [v - f * w for v, w in zip(table[r], table[rank])]
+        pivots.append((rank, col))
+    return table, pivots
+
+
+def _assert_matches_reference(rows):
+    """The integer reduction is the reference RREF, and its appended
+    columns are row operations that turn the input rows into it."""
+    reduction = Reduction(rows)
+    expected, pivots = _reference_reduction(rows)
+    assert reduction.pivots == pivots
+    assert reduction.rank == len(pivots)
+    assert all(den > 0 for den in reduction.dens)
+    ncols = reduction.ncols
+    for row, den, want in zip(reduction.rows, reduction.dens, expected):
+        assert [Fraction(v, den) for v in row[:ncols]] == want
+        ops = [Fraction(v, den) for v in row[ncols:]]
+        assert _times(list(zip(*rows)), ops) == want
+
+
 @st.composite
 def small_systems(draw):
     """0/1 rows (at most 4 x 6) and a right-hand side.
@@ -84,6 +120,19 @@ def small_systems(draw):
         free = draw(st.lists(st.integers(-1, 3), min_size=nrows, max_size=nrows))
         rhs = [Fraction(v) for v in free]
     return rows, rhs
+
+
+class TestReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems())
+    def test_matches_the_fraction_reference(self, system):
+        rows, _ = system
+        _assert_matches_reference(rows)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cell_rows_match_the_fraction_reference(self, n):
+        _, rows = measure._cell_rows(n)
+        _assert_matches_reference(rows)
 
 
 class TestNonnegativeSolution:

@@ -11,7 +11,6 @@ not representable" (from check/construct), 1 operational errors,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -30,6 +29,7 @@ from .errors import (
     ConstructionInconsistent,
     InputFileError,
     NotRepresentable,
+    OutputFileError,
     UsageError,
     WitnessConstructionFailed,
 )
@@ -223,13 +223,11 @@ def _cmd_poly(args) -> tuple[int, dict]:
     ]
     body = {"input": _input_info(args.file), "n": system.n, "polynomials": rows}
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["best", "worst", "context", "K"])
-            for row in rows:
-                writer.writerow(
-                    [row["best"], row["worst"], " ".join(map(str, row["context"])), row["K"]]
-                )
+        table = [
+            [row["best"], row["worst"], " ".join(map(str, row["context"])), row["K"]]
+            for row in rows
+        ]
+        bwio.dump_csv([["best", "worst", "context", "K"], *table], args.csv)
         body["csv_written"] = str(args.csv)
     return 0, body
 
@@ -486,7 +484,10 @@ def run_command(argv) -> tuple[int, dict | None]:
     out = getattr(args, "out", None)
     if out and args.command != "simulate":
         report["written_to"] = str(out)
-        bwio.dump_json(report, out)
+        try:
+            bwio.dump_json(report, out)
+        except OutputFileError as exc:
+            return 1, _error_report(args.command, exc)
     return code, report
 
 

@@ -78,3 +78,7 @@ class UsageError(BwrumError):
 
 class InputFileError(BwrumError):
     """An input file is missing or cannot be parsed (CLI exit code 65)."""
+
+
+class OutputFileError(BwrumError):
+    """An output file cannot be written (CLI exit code 1)."""

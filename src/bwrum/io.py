@@ -11,6 +11,7 @@ either labels or integers on input.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .errors import (
     InputFileError,
     MissingCell,
     OutOfRange,
+    OutputFileError,
 )
 from .measure import RankingDistribution, make_distribution
 
@@ -106,9 +108,20 @@ def load_json(path: str | Path) -> dict:
 
 
 def dump_json(payload: dict, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=False)
+            handle.write("\n")
+    except OSError as exc:
+        raise OutputFileError(f"cannot write {path}: {exc}") from exc
+
+
+def dump_csv(rows: Sequence[Sequence[str]], path: str | Path) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+    except OSError as exc:
+        raise OutputFileError(f"cannot write {path}: {exc}") from exc
 
 
 def input_digest(path: str | Path) -> str:

@@ -54,6 +54,15 @@ def mixture_file(tmp_path):
     return path
 
 
+def _assert_unwritable(argv, path):
+    """An output path in a missing directory is an error report naming it."""
+    code, report = run_command(argv)
+    assert code == 1
+    assert report["error"]["type"] == "OutputFileError"
+    assert str(path) in report["error"]["message"]
+    assert not path.exists()
+
+
 def _ok(argv):
     code, report = run_command(argv)
     assert code == 0, report
@@ -126,6 +135,11 @@ class TestPoly:
         assert lines[0] == "best,worst,context,K"
         assert len(lines) == 49
         assert any(",2 3," in line for line in lines)
+
+
+    def test_unwritable_csv_is_an_error_report(self, uniform4_file, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        _assert_unwritable(["poly", str(uniform4_file), "--csv", str(path)], path)
 
 
 class TestCheck:
@@ -323,6 +337,13 @@ class TestSimulate:
         assert dataset.n == 3
 
 
+    def test_unwritable_out_is_an_error_report(self, tmp_path):
+        dist_path, design_path = self._files(tmp_path)
+        path = tmp_path / "missing" / "x.json"
+        argv = ["simulate", str(dist_path), "--design", str(design_path), "--seed", "3"]
+        _assert_unwritable(argv + ["--out", str(path)], path)
+
+
 class TestDemo:
     def test_matches_golden_report(self):
         code, report = run_command(["demo", "--n", "4", "--seed", "7"])
@@ -397,6 +418,15 @@ class TestEnvelope:
         stored = load_json(out)
         assert stored["schema"] == SCHEMA
         assert stored["verdict"] == "Representable"
+
+    def test_unwritable_out_is_an_error_report(self, uniform4_file, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        _assert_unwritable(["check", str(uniform4_file), "--out", str(path)], path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", str(uniform4_file), "--out", str(path)])
+        assert excinfo.value.code == 1
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["error"]["type"] == "OutputFileError"
 
     def test_main_prints_json_and_exits(self, uniform4_file, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bwrum import measure
@@ -16,6 +16,8 @@ from bwrum.linear import (
     Reduction,
     nonnegative_solution,
 )
+
+from test_lp import PHASE_ONE_VERDICTS, signed_mass_system
 
 
 def _times(rows, x):
@@ -62,11 +64,16 @@ def _brute_force_feasible(rows, rhs):
     return False
 
 
-def _reference_reduction(rows):
-    """Fraction Gauss-Jordan: the reduced rows (zero rows last) and the pivots."""
+def _reference_reduction(rows, ncols=None):
+    """Fraction Gauss-Jordan: the reduced rows (zero rows last) and the pivots.
+
+    Pivots are sought in the first ``ncols`` columns only (all by
+    default), so a right-hand side appended as a last column is carried
+    along without becoming a pivot.
+    """
     table = [[Fraction(v) for v in row] for row in rows]
     pivots = []
-    for col in range(len(table[0])):
+    for col in range(len(table[0]) if ncols is None else ncols):
         rank = len(pivots)
         pivot = next((r for r in range(rank, len(table)) if table[r][col]), None)
         if pivot is None:
@@ -81,19 +88,98 @@ def _reference_reduction(rows):
     return table, pivots
 
 
+def _dictionary_row(reduction, r):
+    """Row r of the reduction as (its part of the RREF, its row operations).
+
+    The row reads basic = sum of entry * nonbasic.  Moving every x to
+    the left and every w = Ax to the right gives rref . x = ops . w,
+    an identity in x.
+    """
+    ncols, den = reduction.ncols, reduction.dens[r]
+    rref = [Fraction(0)] * ncols
+    ops = [Fraction(0)] * len(reduction.basic)
+    basic = reduction.basic[r]
+    if basic < ncols:
+        rref[basic] += 1
+    else:
+        ops[basic - ncols] -= 1
+    for v, var in zip(reduction.rows[r], reduction.nonbasic):
+        if var < ncols:
+            rref[var] -= Fraction(v, den)
+        else:
+            ops[var - ncols] += Fraction(v, den)
+    return rref, ops
+
+
 def _assert_matches_reference(rows):
-    """The integer reduction is the reference RREF, and its appended
-    columns are row operations that turn the input rows into it."""
+    """The integer reduction is the reference RREF, and its row
+    operations turn the input rows into it."""
     reduction = Reduction(rows)
     expected, pivots = _reference_reduction(rows)
     assert reduction.pivots == pivots
     assert reduction.rank == len(pivots)
     assert all(den > 0 for den in reduction.dens)
-    ncols = reduction.ncols
-    for row, den, want in zip(reduction.rows, reduction.dens, expected):
-        assert [Fraction(v, den) for v in row[:ncols]] == want
-        ops = [Fraction(v, den) for v in row[ncols:]]
+    for r, want in enumerate(expected):
+        rref, ops = _dictionary_row(reduction, r)
+        assert rref == want
         assert _times(list(zip(*rows)), ops) == want
+
+
+def _reference_nonnegative_solution(rows, rhs):
+    """Fraction full-tableau Bland phase 1 from the reference reduction.
+
+    The reduced rows with the transformed right-hand side form a basic
+    tableau; a row whose value is negative is negated and an artificial
+    becomes basic in it.  The objective row is the sum of those rows.
+    The entering column is the lowest one with a positive objective
+    entry, and ratio ties go to the lowest basic variable, artificials
+    (numbered from ncols on) last.  Returns (x, stage) like
+    nonnegative_solution.
+    """
+    ncols = len(rows[0])
+    table, pivots = _reference_reduction(
+        [list(row) + [b] for row, b in zip(rows, rhs)], ncols
+    )
+    if any(row[ncols] for row in table[len(pivots):]):
+        return None, INCONSISTENT
+    x = [Fraction(0)] * ncols
+    for r, c in pivots:
+        x[c] = table[r][ncols]
+    if all(v >= 0 for v in x):
+        return x, PARTICULAR
+    tableau, basic = [], []
+    for r, c in pivots:
+        row = table[r]
+        if row[ncols] < 0:
+            row = [-v for v in row]
+            basic.append(ncols + r)
+        else:
+            basic.append(c)
+        tableau.append(row)
+    obj = [sum((row[j] for row, b in zip(tableau, basic) if b >= ncols), Fraction(0))
+           for j in range(ncols + 1)]
+    while True:
+        enter = next((c for c in range(ncols) if obj[c] > 0), None)
+        if enter is None:
+            break
+        candidates = [r for r, row in enumerate(tableau) if row[enter] > 0]
+        if not candidates:
+            return None, NO_NONNEGATIVE_POINT
+        leave = min(candidates, key=lambda r: (tableau[r][ncols] / tableau[r][enter], basic[r]))
+        prow = [v / tableau[leave][enter] for v in tableau[leave]]
+        tableau[leave] = prow
+        for r, row in enumerate(tableau):
+            if r != leave and row[enter]:
+                tableau[r] = [v - row[enter] * w for v, w in zip(row, prow)]
+        obj = [v - obj[enter] * w for v, w in zip(obj, prow)]
+        basic[leave] = enter
+    if obj[ncols]:
+        return None, NO_NONNEGATIVE_POINT
+    x = [Fraction(0)] * ncols
+    for row, b in zip(tableau, basic):
+        if b < ncols:
+            x[b] = row[ncols]
+    return x, PHASE_ONE
 
 
 @st.composite
@@ -122,6 +208,32 @@ def small_systems(draw):
     return rows, rhs
 
 
+def _consistent(rows, x0):
+    return rows, _times(rows, x0)
+
+
+# Systems where the ratio test ties and the tie-break decides which
+# vertex phase 1 reaches.  Draws of small_systems almost never have one:
+# 20,000 random draws of that size held none.  Breaking ties by the
+# lowest row, by the highest basic variable or by the last row each
+# changes the answer on at least one of these two.
+RATIO_TIES = [
+    _consistent(
+        [[0, 1, 0, 1, 0, 1, 1], [1, 0, 0, 1, 0, 0, 0], [0, 1, 1, 0, 0, 1, 0], [1, 0, 1, 1, 0, 1, 1]],
+        [1, 0, 2, 1, -1, 0, 3],
+    ),
+    _consistent(
+        [
+            [0, 0, 0, 1, 1, 1, 1, 0, 1],
+            [0, 1, 1, 1, 0, 0, 0, 0, 0],
+            [1, 1, 0, 1, 1, 0, 1, 0, 0],
+            [0, 1, 0, 0, 1, 0, 0, 1, 0],
+        ],
+        [-2, 1, 3, -1, 2, 1, 1, -2, 1],
+    ),
+]
+
+
 class TestReduction:
     @settings(max_examples=300, deadline=None)
     @given(small_systems())
@@ -148,6 +260,27 @@ class TestNonnegativeSolution:
             assert stage in (PARTICULAR, PHASE_ONE)
             assert all(v >= 0 for v in x)
             assert _times(rows, x) == rhs
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems())
+    @example(RATIO_TIES[0])
+    @example(RATIO_TIES[1])
+    def test_matches_the_fraction_reference_phase_one(self, system):
+        rows, rhs = system
+        assert nonnegative_solution(Reduction(rows), rhs) == _reference_nonnegative_solution(
+            rows, rhs
+        )
+
+    def test_cell_rows_match_the_fraction_reference_phase_one(self):
+        # The 20 pinned signed-mass systems at n = 4 all reach phase 1.
+        cell_order, rows = measure._cell_rows(4)
+        reduction = Reduction(rows)
+        for seed in PHASE_ONE_VERDICTS:
+            _, system = signed_mass_system(seed)
+            rhs = [system.prob(mask, a, b) for mask, a, b in cell_order] + [Fraction(1)]
+            result = nonnegative_solution(reduction, rhs)
+            assert result[1] in (PHASE_ONE, NO_NONNEGATIVE_POINT), seed
+            assert result == _reference_nonnegative_solution(rows, rhs), seed
 
     def test_negative_particular_solution_without_free_columns(self):
         # The only solution is (1, -1); no free column can repair it.

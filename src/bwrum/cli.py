@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -494,7 +495,14 @@ def run_command(argv) -> tuple[int, dict | None]:
 def main(argv=None) -> None:
     code, report = run_command(sys.argv[1:] if argv is None else argv)
     if report is not None and not report.get("written_to"):
-        print(json.dumps(report, indent=2))
+        try:
+            print(json.dumps(report, indent=2))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader went away (``bwrum demo | head``).  Point stdout at
+            # devnull so the interpreter's last flush cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(1) from None
     raise SystemExit(code)
 
 

@@ -31,6 +31,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .measure import Construction
+    from .polynomials import PolynomialTable
 
 SubsetLike = Union[int, Iterable[int]]
 
@@ -157,6 +158,13 @@ class BWSystem:
             raise MissingCell(
                 f"no cell for subset {members(mask)}, best={best}, worst={worst}"
             ) from None
+
+    @cached_property
+    def _polynomials(self) -> PolynomialTable:
+        """The table the sign test and witness construction both read, computed once."""
+        from .polynomials import all_polynomials
+
+        return all_polynomials(self)
 
     @cached_property
     def _construction(self) -> Construction:

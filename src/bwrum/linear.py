@@ -12,11 +12,11 @@ per nonbasic variable, where row i reads
 
     basic[i] = sum over j of rows[i][j] / dens[i] * nonbasic[j]
 
-in integers over one positive denominator per row.  The columns of the
-basic variables, which a full tableau would carry as unit vectors, are
-never stored.  One exchange pivot, :func:`_pivot`, swaps a basic and a
-nonbasic variable in place; it is the only row update, so no rational
-matrix is ever formed.
+in integers over one positive denominator per row, not necessarily in
+lowest terms.  The columns of the basic variables, which a full tableau
+would carry as unit vectors, are never stored.  One exchange pivot,
+:func:`_pivot`, swaps a basic and a nonbasic variable in place; it is
+the only row update, so no rational matrix is ever formed.
 
 A :class:`Reduction` is the exact Gauss-Jordan reduction of A in this
 form, built once per A and shared by every b.  A solution then comes
@@ -29,18 +29,29 @@ inconsistent or have no nonnegative point.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Sequence
 
 from .core import ZERO
 from .errors import ConstructionInconsistent, DimensionTooLarge
 
-# Cold eliminations, in CPU time with Python 3.11 on x86_64: n = 6 (481
-# equations, 720 unknowns, rank 290) takes about 0.6 s, and n = 7 (1345
-# equations, 5040 unknowns, rank 890) about 32 s at a peak RSS of 133 MiB.
-# Phase 1 at n = 7, on about 4,150 free columns, has not been measured,
-# so n = 7 stays refused.
-LP_MAX_N = 6
+# The largest base set whose whole solve is measured to finish, in CPU
+# time with Python 3.11 on x86_64.  At n = 5 (161 equations, 120
+# unknowns, rank 86) the cold elimination takes about 0.01 s and phase 1
+# about 25 ms.  At n = 6 (481 equations, 720 unknowns, rank 290) the
+# elimination takes about 0.25 s, but phase 1 on one system induced by
+# random masses on all 720 rankings was still running after 21,000
+# pivots and 525 s, with 29 of its 97 artificials basic.  So n = 6 is
+# refused before the elimination, like n = 7, whose elimination alone
+# takes about 32 s.
+LP_MAX_N = 5
+
+# A row touched by a pivot is divided by its common factor only once its
+# denominator passes one machine word.  Below that, the gcd pass over the
+# row costs more than the larger integers it would save; the row's scale
+# cancels in every sign test and ratio comparison of phase 1.
+_REDUCE_ABOVE = 1 << 62
 
 # Stages reported by nonnegative_solution.
 INCONSISTENT = "inconsistent"
@@ -50,7 +61,7 @@ NO_NONNEGATIVE_POINT = "no nonnegative point"
 
 
 def require_size(n: int) -> None:
-    """Refuse base sets above ``LP_MAX_N``, the largest size whose whole solve is measured."""
+    """Refuse base sets above ``LP_MAX_N``, the largest size whose whole solve finishes."""
     if n > LP_MAX_N:
         raise DimensionTooLarge(
             f"exact solving handles n <= {LP_MAX_N}; got n = {n} ({n}! mass variables)"
@@ -76,8 +87,11 @@ class Reduction:
       and is zero on the free columns: a linear identity of A, which a
       consistent right-hand side satisfies.
 
-    The coefficient work is paid once and shared by every right-hand
-    side.
+    The pivots leave the rows they touch unreduced (see :func:`_pivot`),
+    so the constructor divides every row by its common factor once at
+    the end: the stored rows are in lowest terms, and every phase 1
+    starts from them.  The coefficient work is paid once and shared by
+    every right-hand side.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]]):
@@ -100,6 +114,8 @@ class Reduction:
             rank += 1
             if rank == nrows:
                 break
+        for i, row in enumerate(table):
+            table[i], dens[i] = _reduce_row(row, dens[i])
 
         self.rows = table
         self.dens = dens
@@ -110,21 +126,27 @@ class Reduction:
         self.ncols = ncols
 
     def solve(self, rhs: Sequence[Fraction]) -> list[Fraction] | None:
-        """Particular solution with free coordinates zero, or None if inconsistent."""
+        """Particular solution with free coordinates zero, or None if inconsistent.
+
+        The identities past ``rank`` are checked first, so an inconsistent
+        right-hand side returns at the first one it violates.
+        """
         ncols = self.ncols
         # A w column takes its equation's right-hand side; a free x is zero,
         # marked None so that its entries are skipped.
         column_values = [rhs[v - ncols] if v >= ncols else None for v in self.nonbasic]
-        values = [
-            sum((b * v for v, b in zip(row, column_values) if v and b is not None), ZERO) / den
-            for row, den in zip(self.rows, self.dens)
-        ]
+
+        def value(row: list[int], den: int) -> Fraction:
+            terms = (b * v for v, b in zip(row, column_values) if v and b is not None)
+            return sum(terms, ZERO) / den
+
         rank = self.rank
-        if any(v != rhs[w - ncols] for v, w in zip(values[rank:], self.basic[rank:])):
-            return None
+        for row, den, w in zip(self.rows[rank:], self.dens[rank:], self.basic[rank:]):
+            if value(row, den) != rhs[w - ncols]:
+                return None
         x = [ZERO] * ncols
         for r, c in self.pivots:
-            x[c] = values[r]
+            x[c] = value(self.rows[r], self.dens[r])
         return x
 
 
@@ -150,12 +172,9 @@ def nonnegative_solution(
 
 def _reduce_row(cells: list[int], den: int) -> tuple[list[int], int]:
     """Divide a dictionary row and its denominator by their common factor."""
-    g = den
-    for v in cells:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return cells, den
+    g = gcd(den, *cells)
+    if g == 1:
+        return cells, den
     return [v // g for v in cells], den // g
 
 
@@ -170,9 +189,15 @@ def _pivot(
     """Exchange the basic variable of row ``r`` with the nonbasic one of column ``s``.
 
     Row ``r`` is solved for the entering variable, with the leaving one
-    taking its column; every other row has the entering variable
-    substituted out.  ``rows`` may hold one more row than ``basic``, an
-    objective, which is updated like the others.
+    taking its column, and reduced to lowest terms.  Every other row
+    has the entering variable substituted out.  That update writes a
+    row only where the pivot row is nonzero, and multiplies the whole
+    row only by the part of the pivot row's denominator that the row's
+    entry in column ``s`` does not cancel, which is often 1.  A touched
+    row is reduced only once its denominator passes ``_REDUCE_ABOVE``,
+    so rows are not kept in lowest terms, during phase 1 or between the
+    elimination's pivots.  ``rows`` may hold one more row than
+    ``basic``, an objective, which is updated like the others.
     """
     prow = rows[r]
     lead = prow[s]
@@ -181,12 +206,27 @@ def _pivot(
     new[s] = -sign * dens[r]
     new, pden = _reduce_row(new, abs(lead))
     rows[r], dens[r] = new, pden
+    entries = [(j, new[j]) for j in compress(range(len(new)), new) if j != s]
+    last = new[s]
     for i, row in enumerate(rows):
         f = row[s]
-        if f and i != r:
-            updated = [v * pden + f * w for v, w in zip(row, new)]
-            updated[s] = f * new[s]
-            rows[i], dens[i] = _reduce_row(updated, dens[i] * pden)
+        if not f or i == r:
+            continue
+        # (row * pden + f * new) / (den * pden), with the factor that f
+        # and pden share cancelled first.
+        g = gcd(f, pden)
+        f //= g
+        scale = pden // g
+        den = dens[i]
+        if scale != 1:
+            row = rows[i] = [v * scale for v in row]
+            den *= scale
+        for j, w in entries:
+            row[j] += f * w
+        row[s] = f * last
+        if den > _REDUCE_ABOVE:
+            rows[i], den = _reduce_row(row, den)
+        dens[i] = den
     basic[r], nonbasic[s] = nonbasic[s], basic[r]
 
 

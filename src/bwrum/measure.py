@@ -60,7 +60,12 @@ from .errors import (
     OutOfRangeProbability,
 )
 from .linear import INCONSISTENT, PARTICULAR, Reduction, nonnegative_solution, require_size
-from .polynomials import PolynomialTable, _check_context, _most_negative, all_polynomials
+from .polynomials import (  # noqa: F401  all_polynomials stays importable from here
+    PolynomialTable,
+    _check_context,
+    _most_negative,
+    all_polynomials,
+)
 from .rankings import PatternDescriptor, Ranking, all_rankings, matches
 
 if TYPE_CHECKING:
@@ -333,7 +338,7 @@ def build_construction(system: BWSystem) -> Construction:
 
 def _construct(system: BWSystem) -> Construction:
     """Sign test, one solve of the cell equations, then averaging over the stabiliser."""
-    table = all_polynomials(system)
+    table = system._polynomials
     negatives = [
         (a, b, mask, value) for a, b, mask, value in table.items_sorted() if value < ZERO
     ]

@@ -3,9 +3,13 @@
 For an ordered pair (a, b) and a context set B disjoint from {a, b},
 the polynomial value is the alternating sum over C of B of
 (-1)^(|B|-|C|) times the probability of (a, b) in the complement of C.
-A system admits a ranking-distribution representation exactly when all
-of these values are nonnegative, and the values invert back to the
-probabilities by summing over subcontexts.
+The values invert back to the probabilities by summing over subcontexts.
+
+The sign test, every value nonnegative, is a necessary condition for a
+ranking-distribution representation, not a sufficient one: the n = 4
+signed-mass system of seed 18 in the tests passes every polynomial and
+yet no nonnegative masses reproduce it.  The exact solve in
+:mod:`bwrum.linear`, which ``construct_witness`` runs, decides.
 """
 
 from __future__ import annotations
@@ -205,7 +209,7 @@ def check_representable(
     *,
     tolerance: object = 0,
 ) -> RepresentabilityReport:
-    """Decide representability by the exact sign test over all polynomials.
+    """The exact sign test over all polynomials, a necessary condition.
 
     A nonzero ``tolerance`` flags only values below its negation, marks
     the verdict approximate, and exists for data ingested from floats;
@@ -217,7 +221,7 @@ def check_representable(
     tol = exact_fraction(tolerance)
     if tol < ZERO:
         raise OutOfRange(f"tolerance must be nonnegative, got {tol}")
-    table = all_polynomials(system)
+    table = system._polynomials
     negatives = tuple(
         sorted(
             (

@@ -1,6 +1,9 @@
 """End-to-end command behavior through run_command, in process."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -365,6 +368,24 @@ class TestDemo:
         code, report = run_command(["demo", "--n", "7"])
         assert code == 1
         assert report["error"]["type"] == "DimensionTooLarge"
+
+    def test_closed_pipe_exits_1_without_a_traceback(self):
+        # The reader closes its end before the report is printed, as
+        # ``bwrum demo | head`` does once it has its lines.
+        src = Path(__file__).parent.parent / "src"
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from bwrum.cli import main; main()", "demo", "--n", "4"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == ""
 
 
 class TestFixtureCommand:

@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bwrum import measure
+from bwrum import linear, measure
 from bwrum.linear import (
     INCONSISTENT,
     NO_NONNEGATIVE_POINT,
@@ -119,6 +121,8 @@ def _assert_matches_reference(rows):
     assert reduction.pivots == pivots
     assert reduction.rank == len(pivots)
     assert all(den > 0 for den in reduction.dens)
+    # Stored rows are in lowest terms, whatever the pivots left behind.
+    assert all(gcd(den, *row) == 1 for row, den in zip(reduction.rows, reduction.dens))
     for r, want in enumerate(expected):
         rref, ops = _dictionary_row(reduction, r)
         assert rref == want
@@ -234,11 +238,37 @@ RATIO_TIES = [
 ]
 
 
+def _reducing_every_row():
+    """Make every pivot reduce each row it touches, as one whose
+    denominator has grown past a machine word would be."""
+    return patch.object(linear, "_REDUCE_ABOVE", 0)
+
+
 class TestReduction:
     @settings(max_examples=300, deadline=None)
     @given(small_systems())
     def test_matches_the_fraction_reference(self, system):
         rows, _ = system
+        _assert_matches_reference(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems())
+    def test_matches_the_fraction_reference_reducing_every_row(self, system):
+        rows, _ = system
+        with _reducing_every_row():
+            _assert_matches_reference(rows)
+
+    def test_rows_the_pivots_leave_unreduced_are_stored_in_lowest_terms(self):
+        # Larger than any small_systems draw: the elimination leaves a row
+        # with a common factor, which only the final reduction removes.
+        rows = [
+            [1, 0, 1, 1, 1, 1],
+            [0, 1, 0, 1, 0, 0],
+            [1, 0, 1, 1, 0, 1],
+            [1, 1, 1, 0, 0, 0],
+            [0, 0, 1, 0, 1, 1],
+            [0, 1, 1, 0, 0, 1],
+        ]
         _assert_matches_reference(rows)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -270,6 +300,16 @@ class TestNonnegativeSolution:
         assert nonnegative_solution(Reduction(rows), rhs) == _reference_nonnegative_solution(
             rows, rhs
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems())
+    @example(RATIO_TIES[0])
+    @example(RATIO_TIES[1])
+    def test_matches_the_fraction_reference_phase_one_reducing_every_row(self, system):
+        rows, rhs = system
+        with _reducing_every_row():
+            result = nonnegative_solution(Reduction(rows), rhs)
+        assert result == _reference_nonnegative_solution(rows, rhs)
 
     def test_cell_rows_match_the_fraction_reference_phase_one(self):
         # The 20 pinned signed-mass systems at n = 4 all reach phase 1.

@@ -18,6 +18,7 @@ from bwrum import (
     NormalizationViolation,
     NotRepresentable,
     OutOfRangeProbability,
+    all_polynomials,
     all_rankings,
     build_construction,
     build_distribution,
@@ -161,6 +162,19 @@ class TestDeclarativeConstruction:
     def test_construction_is_cached_per_system(self):
         system = uniform_system(3)
         assert build_construction(system) is build_construction(system)
+
+    def test_check_with_a_witness_computes_the_polynomial_table_once(self, monkeypatch):
+        tables = []
+
+        def counted(system):
+            tables.append(all_polynomials(system))
+            return tables[-1]
+
+        monkeypatch.setattr("bwrum.polynomials.all_polynomials", counted)
+        system = uniform_system(4)
+        assert check_representable(system, construct_witness=True).witness_verified
+        assert len(tables) == 1
+        assert build_construction(system).table is tables[0]
 
     def test_refuses_oversized_systems_before_eliminating(self):
         system = uniform_system(LP_MAX_N + 1)
